@@ -35,7 +35,7 @@ use sqe_core::failpoint::{self, Action};
 use sqe_core::{CancelToken, DeltaConfig, Quality, SitCatalog};
 use sqe_engine::{Database, Predicate, SpjQuery};
 use sqe_server::{FrontDoor, QuotaConfig, TenantConfig};
-use sqe_service::{Budget, DpThreadsMode, EstimationService, ServiceConfig, ServiceError};
+use sqe_service::{Budget, EstimationService, ServiceConfig, ServiceError};
 
 /// Deterministic xorshift64* stream per worker.
 struct Rng(u64);
@@ -232,7 +232,6 @@ fn main() {
         Arc::clone(&db),
         pool.clone(),
         ServiceConfig {
-            dp_threads: DpThreadsMode::Fixed(std::num::NonZeroUsize::new(2).unwrap()),
             max_in_flight: 32,
             ..ServiceConfig::default()
         },
@@ -250,14 +249,9 @@ fn main() {
     // let genuine failures through.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        // An injected panic, or its propagation out of a poisoned
-        // rank-parallel peel slot, is expected noise; anything else is a
-        // genuine failure and gets the normal report.
-        let expected = |s: &str| {
-            s.contains("failpoint")
-                || s.contains("sibling worker")
-                || s.contains("scoped thread panicked")
-        };
+        // An injected panic is expected noise; anything else is a genuine
+        // failure and gets the normal report.
+        let expected = |s: &str| s.contains("failpoint");
         let injected = info
             .payload()
             .downcast_ref::<String>()
@@ -272,7 +266,6 @@ fn main() {
     }));
 
     failpoint::arm_with("dp::solve_mask", Action::Panic, 20_000, None, 11);
-    failpoint::arm_with("par::publish", Action::Panic, 2_000, None, 22);
     failpoint::arm_with("service::cache_insert", Action::Sleep(1), 256, None, 33);
     failpoint::arm_with("service::install", Action::Sleep(2), 4, None, 44);
     // The bound sketch runs on every budgeted answer (panic-isolated), so

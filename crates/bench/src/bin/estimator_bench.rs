@@ -4,35 +4,18 @@
 //! For each `n` in `--ns` the bench generates a workload whose queries have
 //! exactly `n` predicates (`min(n/2, 7)` joins, the rest filters, over the
 //! standard snowflake schema), builds one `J_i` SIT pool, and then times
-//! **cold single-query estimation**: once on the serial dense fill, and once
-//! per entry of the `--threads` sweep on the parallel fill. Every sample
-//! constructs fresh [`SelectivityEstimator`]s (no cross-query cache, nothing
-//! memoized) and runs `selectivity()` to completion; every threaded sample is
-//! asserted **bit-identical** to the serial run, with equal
-//! memo/peel/view-matching counts. The reported latency is the median over
-//! `queries × reps` samples; memo/peel entry counts come from the final
-//! sample and describe the size of the subset-lattice walk.
-//!
-//! Each `(n, threads)` pair becomes one output row and carries the
-//! work-stealing scheduler counters of its final sample
-//! ([`sqe_core::FillStats`]): fills that actually went parallel, scheduler
-//! tasks, solved masks, steal count, idle spins, the deepest queue observed,
-//! and per-rank solved-mask occupancy. Rows whose fills stayed serial
-//! (threads = 1, or lattices below the `FillSchedule::Auto` threshold)
-//! report zeros — that the counters are zero is itself the documented
-//! behaviour of the auto heuristic.
-//!
-//! `--gate-speedup` turns the bench into a CI gate: on a multi-core host
-//! (`available_parallelism() >= 2`) it exits non-zero if the largest
-//! swept `n` shows a 2-thread speedup below 1.0×. On a single-core host the
-//! gate is skipped (parallelism cannot pay without a second core) and a
-//! notice is printed instead. The gate reads only the exact-engine rows;
-//! the beam section below never participates.
+//! **cold single-query estimation** on the dense fill. Every sample
+//! constructs a fresh [`SelectivityEstimator`] (no cross-query cache,
+//! nothing memoized) and runs `selectivity()` to completion; every rep of a
+//! query is asserted bit-identical, with equal memo/peel/view-matching
+//! counts. The reported latency is the median over `queries × reps`
+//! samples; memo/peel entry counts come from the final sample and describe
+//! the size of the subset-lattice walk.
 //!
 //! A second sweep covers the widths the exact engines cannot reach: for
 //! each `n` in `--beam-ns` (default 20, 24, 28, 32 — past the dense
 //! ceiling, where `Auto` routes to the beam) the bench times the
-//! **beam-search approximate engine** cold and serial at every width in
+//! **beam-search approximate engine** cold at every width in
 //! `--beam-widths` (default 1, 2, 4, 8) under the default expansions cap.
 //! Each `(n, width)` row records the median latency plus the final
 //! sample's [`sqe_core::BeamStats`] — expansions, candidates generated /
@@ -48,8 +31,8 @@
 //!
 //! ```text
 //! cargo run --release -p sqe-bench --bin estimator_bench \
-//!     [-- --ns 4,8,12,16 --queries 3 --reps 3 --pool 2 --threads 1,2,4 \
-//!         --beam-ns 20,24,28,32 --beam-widths 1,2,4,8 --gate-speedup]
+//!     [-- --ns 4,8,12,16 --queries 3 --reps 3 --pool 2 \
+//!         --beam-ns 20,24,28,32 --beam-widths 1,2,4,8]
 //! ```
 
 use std::time::Instant;
@@ -57,9 +40,12 @@ use std::time::Instant;
 use serde::Serialize;
 use sqe_bench::report::{render_table, round_us, write_json_root};
 use sqe_bench::{Args, Setup, SetupConfig};
-use sqe_core::{BeamConfig, BeamStats, DpStrategy, ErrorMode, FillStats, SelectivityEstimator};
+use sqe_core::{BeamConfig, BeamStats, DpStrategy, ErrorMode, SelectivityEstimator};
 use sqe_datagen::{generate_workload, WorkloadConfig};
+use sqe_engine::SpjQuery;
 
+/// One `n` of the exact-engine sweep: cold latency of the dense fill plus
+/// the lattice footprint of the final sample.
 #[derive(Serialize)]
 struct Row {
     n: usize,
@@ -67,31 +53,12 @@ struct Row {
     filters: usize,
     queries: usize,
     reps: usize,
-    /// DP worker threads of the threaded column (the serial column is
-    /// always 1).
-    threads: usize,
-    serial_median_us: f64,
-    serial_min_us: f64,
-    serial_max_us: f64,
-    threaded_median_us: f64,
-    threaded_min_us: f64,
-    threaded_max_us: f64,
-    /// `serial_median_us / threaded_median_us` (≈1 on a single-core host).
-    speedup: f64,
+    median_us: f64,
+    min_us: f64,
+    max_us: f64,
     memo_entries: usize,
     peel_entries: usize,
     vm_calls: u64,
-    /// Work-stealing scheduler counters from the final sample of this
-    /// `(n, threads)` cell. All-zero when every fill stayed serial (the
-    /// `FillSchedule::Auto` heuristic, or `threads == 1`).
-    parallel_fills: u64,
-    ws_tasks: u64,
-    ws_solved: u64,
-    ws_steals: u64,
-    ws_idle_spins: u64,
-    ws_max_queue_depth: u64,
-    /// Solved masks per popcount rank (trailing zero ranks trimmed).
-    ws_rank_tasks: Vec<u64>,
 }
 
 /// One `(n, width)` cell of the beam sweep: cold serial latency of the
@@ -121,8 +88,8 @@ struct BeamRow {
     bound_tightness: f64,
 }
 
-/// The committed `BENCH_estimator.json` document: exact-engine thread
-/// sweep plus the wide-`n` beam sweep.
+/// The committed `BENCH_estimator.json` document: exact-engine sweep plus
+/// the wide-`n` beam sweep.
 #[derive(Serialize)]
 struct Report {
     rows: Vec<Row>,
@@ -134,14 +101,33 @@ fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Measure `queries × reps` cold serial estimations, asserting nothing
-/// (the serial run *is* the reference). Returns samples in µs plus the
-/// final sample's estimator for stats extraction.
-struct SerialBaseline {
-    samples: Vec<f64>,
-    /// Per-query reference bits + lattice footprint, checked against every
-    /// threaded sample.
-    refs: Vec<(u64, usize, usize, u64)>,
+/// Comma-separated `usize` list option.
+fn list(args: &Args, key: &str, default: &str) -> Vec<usize> {
+    args.get_str(key, default)
+        .split(',')
+        .filter_map(|s| s.trim().parse().ok())
+        .collect()
+}
+
+/// `queries` queries of exactly `n` predicates (`min(n/2, join edges)`
+/// joins, the rest filters), seeded per `n`; returns `(joins, filters,
+/// workload)`.
+fn workload(setup: &Setup, n: usize, queries: usize) -> (usize, usize, Vec<SpjQuery>) {
+    let joins = (n / 2).min(setup.snowflake.join_edges.len());
+    let filters = n - joins;
+    let workload = generate_workload(
+        &setup.snowflake.db,
+        &setup.snowflake.join_edges,
+        &setup.snowflake.filter_columns,
+        WorkloadConfig {
+            queries,
+            joins,
+            filters,
+            target_selectivity: setup.config().target_selectivity,
+            seed: setup.config().seed ^ (n as u64).wrapping_mul(0xA076_1D64_78BD_642F),
+        },
+    );
+    (joins, filters, workload)
 }
 
 fn main() {
@@ -150,186 +136,72 @@ fn main() {
     let pool_i: usize = args.get("pool", 2);
     let queries: usize = args.get("queries", 3);
     let reps: usize = args.get("reps", 3);
-    let gate_speedup = args.flag("gate-speedup");
-    let threads_sweep: Vec<usize> = args
-        .get_str("threads", "1,2,4")
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .filter(|&t| t >= 1)
-        .collect();
-    let ns: Vec<usize> = args
-        .get_str("ns", "4,8,12,16")
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-    let beam_ns: Vec<usize> = args
-        .get_str("beam-ns", "20,24,28,32")
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-    let beam_widths: Vec<usize> = args
-        .get_str("beam-widths", "1,2,4,8")
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
+    let ns = list(&args, "ns", "4,8,12,16");
+    let beam_ns = list(&args, "beam-ns", "20,24,28,32");
+    let beam_widths: Vec<usize> = list(&args, "beam-widths", "1,2,4,8")
+        .into_iter()
         .filter(|&w| w >= 1)
         .collect();
 
     let mut rows: Vec<Row> = Vec::new();
     for &n in &ns {
-        let joins = (n / 2).min(setup.snowflake.join_edges.len());
-        let filters = n - joins;
-        eprintln!("n={n}: generating {queries} queries ({joins} joins + {filters} filters) ...");
-        let workload = generate_workload(
-            &setup.snowflake.db,
-            &setup.snowflake.join_edges,
-            &setup.snowflake.filter_columns,
-            WorkloadConfig {
-                queries,
-                joins,
-                filters,
-                target_selectivity: setup.config().target_selectivity,
-                seed: setup.config().seed ^ (n as u64).wrapping_mul(0xA076_1D64_78BD_642F),
-            },
-        );
-        eprintln!("n={n}: building J{pool_i} pool ...");
+        eprintln!("n={n}: generating {queries} queries ...");
+        let (joins, filters, workload) = workload(&setup, n, queries);
+        eprintln!("n={n}: building J{pool_i} pool ({joins} joins + {filters} filters) ...");
         let pool = setup.pool(&workload, pool_i);
 
-        // Serial baseline: timed once per n, reused as the reference for
-        // every threads entry in the sweep.
-        let mut baseline = SerialBaseline {
-            samples: Vec::with_capacity(queries * reps),
-            refs: Vec::with_capacity(queries),
-        };
-        let mut memo_entries = 0;
-        let mut peel_entries = 0;
-        let mut vm_calls = 0;
+        let mut samples: Vec<f64> = Vec::with_capacity(queries * reps);
+        let mut footprint = (0, 0, 0);
         for query in &workload {
-            let mut last = None;
+            let mut reference: Option<(u64, (usize, usize, u64))> = None;
             for _ in 0..reps {
                 let start = Instant::now();
-                let mut serial =
+                let mut est =
                     SelectivityEstimator::new(&setup.snowflake.db, query, &pool, ErrorMode::Diff);
-                let sel = std::hint::black_box(serial.selectivity());
-                baseline.samples.push(start.elapsed().as_secs_f64() * 1e6);
-                let ss = serial.stats();
-                last = Some((sel.to_bits(), ss.memo_entries, ss.peel_entries, ss.vm_calls));
-                memo_entries = ss.memo_entries;
-                peel_entries = ss.peel_entries;
-                vm_calls = ss.vm_calls;
-            }
-            baseline.refs.push(last.unwrap());
-        }
-        let serial_median = median(&mut baseline.samples);
-        eprintln!(
-            "n={n}: serial median {serial_median:.1} µs over {} samples",
-            baseline.samples.len()
-        );
+                let sel = std::hint::black_box(est.selectivity());
+                samples.push(start.elapsed().as_secs_f64() * 1e6);
 
-        for &threads in &threads_sweep {
-            let mut threaded_samples: Vec<f64> = Vec::with_capacity(queries * reps);
-            let mut fill = FillStats::default();
-            for (query, reference) in workload.iter().zip(&baseline.refs) {
-                for _ in 0..reps {
-                    let start = Instant::now();
-                    let mut par = SelectivityEstimator::new(
-                        &setup.snowflake.db,
-                        query,
-                        &pool,
-                        ErrorMode::Diff,
-                    )
-                    .with_dp_threads(threads);
-                    let par_sel = std::hint::black_box(par.selectivity());
-                    threaded_samples.push(start.elapsed().as_secs_f64() * 1e6);
-
-                    // The parallel fill must reproduce the serial result bit
-                    // for bit, and the same lattice/link/view-matching
-                    // footprint, on every sample of the sweep.
-                    let ps = par.stats();
-                    assert_eq!(
-                        reference.0,
-                        par_sel.to_bits(),
-                        "n={n} threads={threads}: threaded selectivity diverged from serial"
-                    );
-                    assert_eq!(
-                        reference.1, ps.memo_entries,
-                        "n={n} t={threads}: memo entries"
-                    );
-                    assert_eq!(
-                        reference.2, ps.peel_entries,
-                        "n={n} t={threads}: peel entries"
-                    );
-                    assert_eq!(
-                        reference.3, ps.vm_calls,
-                        "n={n} t={threads}: view-matching calls"
-                    );
-                    fill = par.fill_stats().clone();
+                let st = est.stats();
+                footprint = (st.memo_entries, st.peel_entries, st.vm_calls);
+                // Every rep of the same query must reproduce the same bits
+                // and the same lattice/link/view-matching footprint.
+                match reference {
+                    None => reference = Some((sel.to_bits(), footprint)),
+                    Some(r) => assert_eq!(
+                        r,
+                        (sel.to_bits(), footprint),
+                        "n={n}: answer or footprint not deterministic across reps"
+                    ),
                 }
             }
-            let threaded_median = median(&mut threaded_samples);
-            let mut rank_tasks = fill.rank_tasks.clone();
-            while rank_tasks.last() == Some(&0) {
-                rank_tasks.pop();
-            }
-            eprintln!(
-                "n={n} threads={threads}: median {threaded_median:.1} µs \
-                 ({:.2}x, bit-identical); last sample: {} parallel fill(s), \
-                 {} tasks, {} steals, max queue depth {}",
-                serial_median / threaded_median,
-                fill.parallel_fills,
-                fill.tasks,
-                fill.steals,
-                fill.max_queue_depth,
-            );
-            rows.push(Row {
-                n,
-                joins,
-                filters,
-                queries,
-                reps,
-                threads,
-                serial_median_us: round_us(serial_median),
-                serial_min_us: round_us(baseline.samples[0]),
-                serial_max_us: round_us(baseline.samples[baseline.samples.len() - 1]),
-                threaded_median_us: round_us(threaded_median),
-                threaded_min_us: round_us(threaded_samples[0]),
-                threaded_max_us: round_us(threaded_samples[threaded_samples.len() - 1]),
-                speedup: round_us(serial_median / threaded_median),
-                memo_entries,
-                peel_entries,
-                vm_calls,
-                parallel_fills: fill.parallel_fills,
-                ws_tasks: fill.tasks,
-                ws_solved: fill.solved,
-                ws_steals: fill.steals,
-                ws_idle_spins: fill.idle_spins,
-                ws_max_queue_depth: fill.max_queue_depth,
-                ws_rank_tasks: rank_tasks,
-            });
         }
+        let median_us = median(&mut samples);
+        eprintln!(
+            "n={n}: median {median_us:.1} µs over {} samples",
+            samples.len()
+        );
+        rows.push(Row {
+            n,
+            joins,
+            filters,
+            queries,
+            reps,
+            median_us: round_us(median_us),
+            min_us: round_us(samples[0]),
+            max_us: round_us(samples[samples.len() - 1]),
+            memo_entries: footprint.0,
+            peel_entries: footprint.1,
+            vm_calls: footprint.2,
+        });
     }
 
     // Beam sweep: the widths where the exact engines are off the table.
-    // Cold, serial, one row per (n, width) at the default expansions cap.
+    // Cold, one row per (n, width) at the default expansions cap.
     let mut beam_rows: Vec<BeamRow> = Vec::new();
     for &n in &beam_ns {
-        let joins = (n / 2).min(setup.snowflake.join_edges.len());
-        let filters = n - joins;
-        eprintln!(
-            "beam n={n}: generating {queries} queries ({joins} joins + {filters} filters) ..."
-        );
-        let workload = generate_workload(
-            &setup.snowflake.db,
-            &setup.snowflake.join_edges,
-            &setup.snowflake.filter_columns,
-            WorkloadConfig {
-                queries,
-                joins,
-                filters,
-                target_selectivity: setup.config().target_selectivity,
-                seed: setup.config().seed ^ (n as u64).wrapping_mul(0xA076_1D64_78BD_642F),
-            },
-        );
-        eprintln!("beam n={n}: building J{pool_i} pool ...");
+        eprintln!("beam n={n}: generating {queries} queries ...");
+        let (joins, filters, workload) = workload(&setup, n, queries);
+        eprintln!("beam n={n}: building J{pool_i} pool ({joins} joins + {filters} filters) ...");
         let pool = setup.pool(&workload, pool_i);
 
         for &width in &beam_widths {
@@ -413,13 +285,9 @@ fn main() {
         .map(|r| {
             vec![
                 r.n.to_string(),
-                r.threads.to_string(),
-                format!("{:.1}", r.serial_median_us),
-                format!("{:.1}", r.threaded_median_us),
-                format!("{:.2}x", r.speedup),
-                r.parallel_fills.to_string(),
-                r.ws_steals.to_string(),
-                r.ws_max_queue_depth.to_string(),
+                format!("{:.1}", r.median_us),
+                format!("{:.1}", r.min_us),
+                format!("{:.1}", r.max_us),
                 r.memo_entries.to_string(),
                 r.peel_entries.to_string(),
                 r.vm_calls.to_string(),
@@ -431,13 +299,9 @@ fn main() {
         render_table(
             &[
                 "n",
-                "thr",
-                "serial µs",
-                "threaded µs",
-                "speedup",
-                "par fills",
-                "steals",
-                "max q",
+                "median µs",
+                "min µs",
+                "max µs",
                 "memo",
                 "peel",
                 "vm calls"
@@ -446,7 +310,7 @@ fn main() {
         )
     );
     if !beam_rows.is_empty() {
-        println!("\nbeam engine — cold serial latency past the exact ceiling\n");
+        println!("\nbeam engine — cold latency past the exact ceiling\n");
         let table: Vec<Vec<String>> = beam_rows
             .iter()
             .map(|r| {
@@ -483,8 +347,6 @@ fn main() {
             )
         );
     }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("host parallelism: {cores} core(s) available to this process\n");
 
     let report = Report {
         rows,
@@ -493,34 +355,5 @@ fn main() {
     match write_json_root("BENCH_estimator", &report) {
         Ok(p) => println!("results written to {}", p.display()),
         Err(e) => eprintln!("could not write results: {e}"),
-    }
-    let rows = report.rows;
-
-    if gate_speedup {
-        if cores < 2 {
-            println!(
-                "speedup gate: SKIPPED — single-core host, parallel fill \
-                 cannot beat serial without a second core"
-            );
-            return;
-        }
-        // Gate on the largest swept n at 2 threads: the lattice there is
-        // big enough that the scheduler must pay for itself.
-        let gate_n = ns.iter().copied().max().unwrap_or(0);
-        let Some(row) = rows.iter().find(|r| r.n == gate_n && r.threads == 2) else {
-            eprintln!("speedup gate: FAILED — no (n={gate_n}, threads=2) row in the sweep");
-            std::process::exit(1);
-        };
-        if row.speedup < 1.0 {
-            eprintln!(
-                "speedup gate: FAILED — n={gate_n} 2-thread speedup {:.2}x < 1.0x",
-                row.speedup
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "speedup gate: PASS — n={gate_n} 2-thread speedup {:.2}x >= 1.0x",
-            row.speedup
-        );
     }
 }

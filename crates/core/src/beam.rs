@@ -92,7 +92,7 @@ impl Default for BeamConfig {
 }
 
 /// Observability counters of one estimator's beam search, the
-/// [`crate::FillStats`]-style companion for the approximate engine.
+/// approximate engine's companion to [`crate::EstimatorStats`].
 /// Cumulative over every request the estimator served; all zero when the
 /// beam engine never ran.
 #[derive(Debug, Clone, Default, PartialEq)]

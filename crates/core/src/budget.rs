@@ -18,7 +18,7 @@
 //!
 //! Trip state is sticky and first-reason-wins: once tripped, every
 //! subsequent [`BudgetMeter::charge`]/[`BudgetMeter::check`] returns the
-//! same reason, so racing rank-parallel workers all observe one coherent
+//! same reason, so every holder of the shared meter observes one coherent
 //! verdict.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -215,8 +215,8 @@ fn decode(v: u8) -> Option<ExhaustReason> {
 
 /// The materialized, shareable form of a [`Budget`]: absolute deadline,
 /// atomic spend counter, sticky trip flag. One meter governs one ladder
-/// rung; rank-parallel workers all charge the same meter through an
-/// `Arc`.
+/// rung; the estimator charging it and the caller reading it share it
+/// through an `Arc`.
 #[derive(Debug)]
 pub struct BudgetMeter {
     deadline: Option<Instant>,

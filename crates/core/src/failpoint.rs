@@ -16,7 +16,7 @@
 //! Env syntax (entries separated by `;` or `,`):
 //!
 //! ```text
-//! SQE_FAILPOINTS="par::publish=panic;persist::save=error%7#3;dp::solve_mask=sleep(2)"
+//! SQE_FAILPOINTS="bn::build=panic;persist::save=error%7#3;dp::solve_mask=sleep(2)"
 //! ```
 //!
 //! `name=action[%K][#N]` arms `name` with `action` (one of `panic`,
@@ -173,9 +173,12 @@ pub fn init_from_env() {
 }
 
 /// Serializes tests that arm failpoints. The registry is process-global,
-/// so any two tests in the same binary that arm sites must hold this
-/// guard; it recovers from poisoning because failpoint tests panic on
-/// purpose.
+/// so a site one test arms also fires in every other test of the same
+/// binary that reaches it, whether or not that test armed anything. The
+/// rule: in a binary where any test arms a site other tests can reach,
+/// every test takes this guard. That is why such tests live in
+/// `tests/chaos.rs` and `tests/server.rs`, where every test holds it. The
+/// guard recovers from poisoning because failpoint tests panic on purpose.
 #[doc(hidden)]
 pub fn test_serial_guard() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());

@@ -63,13 +63,6 @@ impl DenseMemo {
         }
     }
 
-    /// True when `mask` has been computed.
-    #[inline]
-    pub fn contains(&self, mask: u32) -> bool {
-        let m = mask as usize;
-        self.valid[m >> 6] & (1u64 << (m & 63)) != 0
-    }
-
     /// Stores the value for `mask`.
     #[inline]
     pub fn set(&mut self, mask: u32, value: (f64, f64)) {

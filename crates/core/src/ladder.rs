@@ -109,7 +109,6 @@ pub struct Ladder<'a> {
     catalog: &'a SitCatalog,
     mode: ErrorMode,
     strategy: DpStrategy,
-    dp_threads: usize,
     pruning: bool,
     beam: BeamConfig,
     sit2: Option<&'a Sit2Catalog>,
@@ -128,7 +127,6 @@ impl<'a> Ladder<'a> {
             catalog,
             mode,
             strategy: DpStrategy::Auto,
-            dp_threads: 1,
             pruning: false,
             beam: BeamConfig::default(),
             sit2: None,
@@ -170,12 +168,6 @@ impl<'a> Ladder<'a> {
         self
     }
 
-    /// Worker threads for the dense rank-parallel fill.
-    pub fn with_dp_threads(mut self, threads: usize) -> Self {
-        self.dp_threads = threads.max(1);
-        self
-    }
-
     /// Enables §3.4 pruning on the *full* rung too (the pruned rung always
     /// prunes). With this set the first two rungs share a configuration
     /// and differ only in their budget slice.
@@ -212,8 +204,7 @@ impl<'a> Ladder<'a> {
     ) -> SelectivityEstimator<'a> {
         let mut est = SelectivityEstimator::new(self.db, query, self.catalog, self.mode)
             .with_strategy(strategy)
-            .with_beam_config(self.beam)
-            .with_dp_threads(self.dp_threads);
+            .with_beam_config(self.beam);
         if let Some(s2) = self.sit2 {
             est = est.with_sit2_catalog(s2);
         }

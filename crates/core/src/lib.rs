@@ -57,14 +57,12 @@ pub mod ladder;
 mod link;
 pub mod matcher;
 pub mod metrics;
-mod par;
 pub mod persist;
 pub mod pessimistic;
 pub mod pool;
 pub mod predset;
 pub mod sit;
 pub mod sit2;
-mod steal;
 
 pub use backend::{BackendKind, DiffBackend, PeelQuery, SelectivityBackend};
 pub use baseline::NoSitEstimator;
@@ -75,9 +73,7 @@ pub use cache::{CacheKey, SharedEstimatorCache};
 pub use decomposition::{count_decompositions, decomposition_bounds, ComponentTable};
 pub use delta::{DeltaConfig, IngestReport, LiveCatalog};
 pub use error::ErrorMode;
-pub use estimator::{
-    DpStrategy, EstimatorStats, FillSchedule, SelectivityEstimator, WS_MIN_LATTICE_MASKS,
-};
+pub use estimator::{DpStrategy, EstimatorStats, SelectivityEstimator};
 pub use feedback::{FeedbackStore, Observation};
 pub use flat::{DenseMemo, FlatMemo, PeelMemo};
 pub use groupby::{cardenas, true_group_count};
@@ -90,4 +86,3 @@ pub use pool::{build_pool, build_pool_threaded, build_pool_with, PoolSpec};
 pub use predset::{PredSet, QueryContext};
 pub use sit::{Sit, SitCatalog, SitId, SitOptions};
 pub use sit2::{build_pool2, Sit2, Sit2Catalog, Sit2Id};
-pub use steal::FillStats;

@@ -36,8 +36,8 @@ pub use admission::{AdmissionControl, Permit};
 pub use cache::{CacheCounters, CarryStats, ShardedCache};
 pub use lru::LruMap;
 pub use service::{
-    CatalogSnapshot, DpThreadsMode, Estimate, EstimationService, PartialInstallOutcome,
-    ServiceConfig, ServiceError,
+    CatalogSnapshot, Estimate, EstimationService, PartialInstallOutcome, ServiceConfig,
+    ServiceError,
 };
 pub use sqe_core::{
     BackendKind, BoundSketch, Budget, CancelToken, DegradeReason, DpStrategy, MetricsSink,

@@ -20,42 +20,6 @@ use crate::admission::AdmissionControl;
 use crate::cache::ShardedCache;
 use crate::stats::{ServiceStats, ServiceStatsSnapshot};
 
-/// How many worker threads each estimator's dense DP fill gets
-/// (`SelectivityEstimator::with_dp_threads`).
-///
-/// This is the *outer* knob; the estimator's own `FillSchedule::Auto`
-/// heuristic still decides per component whether those threads are worth
-/// using — components below `sqe_core::WS_MIN_LATTICE_MASKS` lattice masks
-/// run serially even under `Auto`/`Fixed`, because the committed
-/// measurements show fork/steal overhead dominating there (see `DESIGN.md`
-/// §4h).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DpThreadsMode {
-    /// Serial fill — the right default when `batch_threads` already
-    /// saturates the host, since the two thread layers multiply.
-    #[default]
-    Serial,
-    /// Exactly this many fill workers per estimator.
-    Fixed(NonZeroUsize),
-    /// One fill worker per available core
-    /// ([`std::thread::available_parallelism`]); single-core hosts resolve
-    /// to the serial fill.
-    Auto,
-}
-
-impl DpThreadsMode {
-    /// The concrete thread count to hand the estimator.
-    pub fn resolve(self) -> usize {
-        match self {
-            DpThreadsMode::Serial => 1,
-            DpThreadsMode::Fixed(n) => n.get(),
-            DpThreadsMode::Auto => {
-                std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
-            }
-        }
-    }
-}
-
 /// Configuration of an [`EstimationService`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
@@ -82,10 +46,6 @@ pub struct ServiceConfig {
     /// sequential path. Parallel batches are bit-identical to sequential
     /// ones (see the `estimate_batch` docs).
     pub batch_threads: Option<NonZeroUsize>,
-    /// Threads for each estimator's parallel dense DP fill (see
-    /// [`DpThreadsMode`]). Every mode is bit-identical to the serial fill;
-    /// only speed differs.
-    pub dp_threads: DpThreadsMode,
     /// Admission bound for the *budgeted* endpoints
     /// ([`EstimationService::estimate_with_budget`] and its batch
     /// sibling): at most this many requests in flight, the rest shed with
@@ -128,7 +88,6 @@ impl Default for ServiceConfig {
             sit_driven_pruning: false,
             dp_strategy: DpStrategy::Auto,
             batch_threads: None,
-            dp_threads: DpThreadsMode::Serial,
             max_in_flight: 64,
             beam: BeamConfig::default(),
             default_deadline: Duration::from_millis(250),
@@ -620,7 +579,6 @@ impl EstimationService {
                 )
                 .with_strategy(self.config.dp_strategy)
                 .with_beam_config(self.config.beam)
-                .with_dp_threads(self.config.dp_threads.resolve())
                 .with_backend(Arc::clone(&snapshot.backend));
                 if !routed {
                     // Beam-routed widths skip the link cache too: the
@@ -838,7 +796,6 @@ impl EstimationService {
                     .with_metrics(&*self.metrics)
                     .with_strategy(self.config.dp_strategy)
                     .with_beam_config(self.config.beam)
-                    .with_dp_threads(self.config.dp_threads.resolve())
                     .with_backend(Arc::clone(&snapshot.backend))
                     .with_shared_cache(&snapshot.cache);
                 if let Some(sit2) = &snapshot.sit2 {
@@ -1202,46 +1159,6 @@ mod tests {
         assert!(svc
             .estimate_with_budget(&query(1), &Budget::unlimited())
             .is_ok());
-    }
-
-    #[test]
-    fn panicking_estimate_is_isolated_and_recovers() {
-        let _g = sqe_core::failpoint::test_serial_guard();
-        sqe_core::failpoint::disarm_all();
-        let db = small_db();
-        let svc = service(&db);
-        let q = query(1);
-        let epoch0 = svc.snapshot().epoch();
-        sqe_core::failpoint::arm("dp::solve_mask", sqe_core::failpoint::Action::Panic);
-        let held = svc.snapshot();
-        let e = svc
-            .estimate_with_budget(&q, &Budget::unlimited())
-            .expect("panic is isolated, not propagated");
-        sqe_core::failpoint::disarm_all();
-
-        assert_eq!(e.quality, Quality::Independence);
-        assert_eq!(e.degraded_reason, Some(DegradeReason::Panic));
-        assert!(e.selectivity.is_finite());
-        assert!(held.cache().is_quarantined(), "panicked snapshot poisoned");
-
-        let now = svc.snapshot();
-        assert_eq!(now.epoch(), epoch0 + 1, "fresh snapshot installed");
-        assert!(!now.cache().is_quarantined());
-        let stats = svc.stats();
-        assert_eq!(stats.quarantines, 1);
-        assert_eq!(stats.degraded_by(DegradeReason::Panic), 1);
-
-        // Service keeps working at full quality afterwards.
-        let after = svc
-            .estimate_with_budget(&q, &Budget::unlimited())
-            .expect("admitted");
-        assert_eq!(after.quality, Quality::Full);
-        assert_eq!(after.epoch, epoch0 + 1);
-        assert_eq!(
-            svc.admission.in_flight(),
-            0,
-            "permit released on unwind path"
-        );
     }
 
     #[test]

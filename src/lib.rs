@@ -75,7 +75,5 @@ pub mod prelude {
     };
     pub use sqe_histogram::{build_maxdiff, Histogram};
     pub use sqe_optimizer::{explore, extract_best_plan, Memo, MemoEstimator};
-    pub use sqe_service::{
-        DpThreadsMode, Estimate, EstimationService, ServiceConfig, ServiceError,
-    };
+    pub use sqe_service::{Estimate, EstimationService, ServiceConfig, ServiceError};
 }

@@ -1,19 +1,18 @@
 //! Beam-search engine guarantees: at unbounded width the beam engine is
 //! **bit-identical** to the exact recursive engine — values *and*
 //! instrumentation (memo / peel / view-matching counts) — across the whole
-//! subset lattice, under armed failpoints, and under budget cancellation;
+//! subset lattice and under budget cancellation (the armed-failpoint case
+//! lives in `tests/chaos.rs`);
 //! at bounded width it answers in range and reports its work through
 //! [`BeamStats`]; and the acceptance headline — a seeded 32-predicate
 //! query answers with [`Quality::Beam`] under the service's **default
 //! deadline** instead of falling off the exact engines' `O(3ⁿ)` cliff.
 
-use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::Instant;
 
 use proptest::prelude::*;
 
-use sqe::core::failpoint::{self, Action};
 use sqe::core::BudgetMeter;
 use sqe::engine::table::TableBuilder;
 use sqe::prelude::*;
@@ -253,65 +252,6 @@ fn beam_matches_recursive_at_n12_and_reports_bounded_work() {
             assert!((0.0..=1.0).contains(&t), "tightness {t} out of range");
         }
     }
-}
-
-/// The serial-only engines raise [`sqe::core::FillStats::dp_threads_ignored`]
-/// when asked for DP parallelism they cannot use, instead of silently
-/// dropping the knob (the historical `Recursive` behavior).
-#[test]
-fn serial_engines_flag_ignored_dp_threads() {
-    let (db, q) = chain_db_and_query();
-    let catalog = build_pool(&db, std::slice::from_ref(&q), PoolSpec::ji(1)).unwrap();
-    for strategy in [DpStrategy::Recursive, DpStrategy::Beam] {
-        let mut est = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-            .with_strategy(strategy)
-            .with_dp_threads(4);
-        let _ = est.get_selectivity(est.context().all());
-        assert_eq!(
-            est.fill_stats().dp_threads_ignored,
-            1,
-            "{strategy:?} must surface the ignored knob"
-        );
-    }
-    // The dense engine honors the knob, so the flag stays clear.
-    let mut dense = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_strategy(DpStrategy::Dense)
-        .with_dp_threads(4);
-    let _ = dense.get_selectivity(dense.context().all());
-    assert_eq!(dense.fill_stats().dp_threads_ignored, 0);
-}
-
-/// Armed `dp::solve_mask` failpoints under the beam walk: a panic either
-/// propagates cleanly (nothing half-committed) or never fires — and then
-/// the answer must still be bit-exact. A fresh estimator afterwards is
-/// unpolluted either way.
-#[test]
-fn beam_survives_armed_failpoints() {
-    let _guard = failpoint::test_serial_guard();
-    let (db, q) = chain_db_and_query();
-    let catalog = build_pool(&db, std::slice::from_ref(&q), PoolSpec::ji(1)).unwrap();
-    let mut serial = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_strategy(DpStrategy::Recursive);
-    let (ss, se) = serial.get_selectivity(serial.context().all());
-
-    failpoint::arm_with("dp::solve_mask", Action::Panic, 64, None, 7);
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let mut est = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-            .with_strategy(DpStrategy::Beam)
-            .with_beam_config(BeamConfig::UNBOUNDED);
-        est.get_selectivity(est.context().all())
-    }));
-    failpoint::disarm("dp::solve_mask");
-    if let Ok((s, e)) = outcome {
-        assert_eq!(s.to_bits(), ss.to_bits(), "survived arm must be exact");
-        assert_eq!(e.to_bits(), se.to_bits(), "survived arm must be exact");
-    }
-    let mut fresh = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_strategy(DpStrategy::Beam)
-        .with_beam_config(BeamConfig::UNBOUNDED);
-    let (fs, fe) = fresh.get_selectivity(fresh.context().all());
-    assert_eq!(fs.to_bits(), ss.to_bits(), "fresh after chaos");
-    assert_eq!(fe.to_bits(), se.to_bits(), "fresh after chaos");
 }
 
 /// Mid-walk budget cancellation: a quota sized to trip halfway through

@@ -82,7 +82,7 @@ proptest! {
     ) {
         let query = SpjQuery::new(vec![TableId(0), TableId(1), TableId(2)], preds).unwrap();
         let catalog = base_catalog(&db, 3, 2);
-        let ladder = Ladder::new(&db, &catalog, ErrorMode::Diff).with_dp_threads(1);
+        let ladder = Ladder::new(&db, &catalog, ErrorMode::Diff);
         let tight = ladder.estimate(&query, &Budget::unlimited().with_quota(q1));
         let loose = ladder.estimate(&query, &Budget::unlimited().with_quota(q1 + extra));
         prop_assert!(
@@ -103,7 +103,7 @@ proptest! {
         let catalog = base_catalog(&db, 3, 2);
         let cancel = CancelToken::new();
         cancel.cancel();
-        let ladder = Ladder::new(&db, &catalog, ErrorMode::Diff).with_dp_threads(1);
+        let ladder = Ladder::new(&db, &catalog, ErrorMode::Diff);
         let got = ladder.estimate(&query, &Budget::unlimited().with_cancel(cancel));
         prop_assert_eq!(got.quality, Quality::Independence);
         prop_assert_eq!(got.degraded_reason, Some(DegradeReason::Cancelled));
@@ -125,7 +125,7 @@ proptest! {
         let all = direct.context().all();
         let (sel, err) = direct.get_selectivity(all);
 
-        let ladder = Ladder::new(&db, &catalog, ErrorMode::Diff).with_dp_threads(1);
+        let ladder = Ladder::new(&db, &catalog, ErrorMode::Diff);
         let got = ladder.estimate(&query, &Budget::unlimited());
         prop_assert_eq!(got.quality, Quality::Full);
         prop_assert_eq!(got.degraded_reason, None);
@@ -148,7 +148,7 @@ proptest! {
     ) {
         let query = SpjQuery::new(vec![TableId(0), TableId(1), TableId(2)], preds).unwrap();
         let catalog = base_catalog(&db, 3, 2);
-        let ladder = Ladder::new(&db, &catalog, ErrorMode::Diff).with_dp_threads(1);
+        let ladder = Ladder::new(&db, &catalog, ErrorMode::Diff);
         let unlimited = ladder.estimate(&query, &Budget::unlimited());
         let generous = ladder.estimate(&query, &Budget::unlimited().with_quota(1 << 20));
         prop_assert_eq!(generous.quality, Quality::Full);
@@ -189,7 +189,7 @@ fn hard_query() -> (Database, SpjQuery) {
 fn hard_query_under_1ms_deadline_degrades_quickly() {
     let (db, query) = hard_query();
     let catalog = base_catalog(&db, 1, 16);
-    let ladder = Ladder::new(&db, &catalog, ErrorMode::Diff).with_dp_threads(1);
+    let ladder = Ladder::new(&db, &catalog, ErrorMode::Diff);
 
     let start = Instant::now();
     let got = ladder.estimate(
@@ -229,7 +229,7 @@ fn cancellation_from_another_thread_unblocks_the_dp() {
         })
     };
 
-    let ladder = Ladder::new(&db, &catalog, ErrorMode::Diff).with_dp_threads(2);
+    let ladder = Ladder::new(&db, &catalog, ErrorMode::Diff);
     let start = Instant::now();
     let got = ladder.estimate(&query, &Budget::unlimited().with_cancel(cancel));
     let elapsed = start.elapsed();
@@ -250,7 +250,7 @@ fn cancellation_from_another_thread_unblocks_the_dp() {
 fn quota_exhaustion_reports_work_quota_reason() {
     let (db, query) = hard_query();
     let catalog = base_catalog(&db, 1, 16);
-    let ladder = Ladder::new(&db, &catalog, ErrorMode::Diff).with_dp_threads(1);
+    let ladder = Ladder::new(&db, &catalog, ErrorMode::Diff);
 
     let tiny = ladder.estimate(&query, &Budget::unlimited().with_quota(64));
     assert!(tiny.quality < Quality::Full);

@@ -11,17 +11,19 @@
 //! * **recovery** — after disarming every failpoint the service serves
 //!   `Full`-quality answers again.
 //!
-//! Failpoint state is process-global, so this file is its own test binary
-//! and runs the scenario in one `#[test]` (serialized with the shared
-//! guard for safety against future additions).
+//! Failpoint state is process-global: a site one test arms fires in every
+//! test of the same binary that reaches it. So the workspace's tests that
+//! arm estimator or service sites live in this binary, and every test here
+//! holds the shared serial guard.
 
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
 use sqe::core::failpoint::{self, Action};
-use sqe::core::{BackendKind, BnCatalog, DeltaConfig, LiveCatalog};
+use sqe::core::{BackendKind, BnCatalog, DeltaConfig, DiffBackend, LiveCatalog};
 use sqe::datagen::database_fingerprint;
 use sqe::engine::delta::{DeltaBatch, RowOp, TableDelta};
 use sqe::engine::table::TableBuilder;
@@ -82,9 +84,6 @@ fn chaos_service(db: &Arc<Database>, catalog: SitCatalog) -> EstimationService {
         Arc::clone(db),
         catalog,
         ServiceConfig {
-            // Two layers of parallelism so the chaos load exercises the
-            // parallel fill (and its OnceMap poisoning) too.
-            dp_threads: DpThreadsMode::Fixed(std::num::NonZeroUsize::new(2).unwrap()),
             batch_threads: std::num::NonZeroUsize::new(2),
             max_in_flight: 16,
             ..ServiceConfig::default()
@@ -136,7 +135,6 @@ fn randomized_faults_never_hang_poison_or_mislabel() {
 
     // Arm the whole failpoint surface at low, deterministic rates.
     failpoint::arm_with("dp::solve_mask", Action::Panic, 512, None, 11);
-    failpoint::arm_with("par::publish", Action::Panic, 256, None, 22);
     failpoint::arm_with("service::cache_insert", Action::Sleep(1), 64, None, 33);
     failpoint::arm_with("service::install", Action::Sleep(1), 4, None, 44);
 
@@ -620,4 +618,149 @@ fn ingest_faults_retry_cleanly_and_converge_bit_identically() {
     }
     assert_eq!(svc.snapshot().epoch(), batches.len() as u64);
     assert_eq!(svc.stats().ingest.partial_installs, batches.len() as u64);
+}
+
+/// A panic inside the DP is isolated to its request: the budgeted
+/// estimate lands on the labeled independence floor, the snapshot it ran
+/// on is quarantined and replaced, and the service answers at full
+/// quality afterwards with every admission permit released.
+#[test]
+fn panicking_estimate_is_isolated_and_recovers() {
+    let _guard = failpoint::test_serial_guard();
+    failpoint::disarm_all();
+    let db = chaos_db();
+    let queries = chaos_queries(&db);
+    let catalog = sqe::core::build_pool(&db, &queries, PoolSpec::ji(1)).expect("pool");
+    let svc = EstimationService::new(Arc::clone(&db), catalog, ServiceConfig::default());
+    let q = &queries[0];
+    let epoch0 = svc.snapshot().epoch();
+    failpoint::arm("dp::solve_mask", Action::Panic);
+    let held = svc.snapshot();
+    let e = svc
+        .estimate_with_budget(q, &Budget::unlimited())
+        .expect("panic is isolated, not propagated");
+    failpoint::disarm_all();
+
+    assert_eq!(e.quality, Quality::Independence);
+    assert_eq!(e.degraded_reason, Some(DegradeReason::Panic));
+    assert!(e.selectivity.is_finite());
+    assert!(held.cache().is_quarantined(), "panicked snapshot poisoned");
+
+    let now = svc.snapshot();
+    assert_eq!(now.epoch(), epoch0 + 1, "fresh snapshot installed");
+    assert!(!now.cache().is_quarantined());
+    let stats = svc.stats();
+    assert_eq!(stats.quarantines, 1);
+    assert_eq!(stats.degraded_by(DegradeReason::Panic), 1);
+
+    // Service keeps working at full quality afterwards.
+    let after = svc
+        .estimate_with_budget(q, &Budget::unlimited())
+        .expect("admitted");
+    assert_eq!(after.quality, Quality::Full);
+    assert_eq!(after.epoch, epoch0 + 1);
+    assert_eq!(
+        svc.admission().in_flight(),
+        0,
+        "permit released on unwind path"
+    );
+}
+
+/// Deterministic 12-predicate join chain with two filters per table: the
+/// dense engine's target regime, with same-table conditioning for the BN
+/// backend (the fixture of `tests/backends.rs` and `tests/beam.rs`).
+fn chain_db_and_query() -> (Database, SpjQuery) {
+    let mut db = Database::new();
+    for t in 0..5 {
+        let vals: Vec<i64> = (0..24).map(|i| (i * 7 + t * 3) % 8).collect();
+        let vals2: Vec<i64> = (0..24).map(|i| (i * 5 + t * 11) % 8).collect();
+        db.add_table(
+            TableBuilder::new(format!("t{t}"))
+                .column("a", vals)
+                .column("b", vals2)
+                .build()
+                .unwrap(),
+        );
+    }
+    let c = |t: u32, col: u16| ColRef::new(TableId(t), col);
+    let mut preds = vec![
+        Predicate::join(c(0, 1), c(1, 0)),
+        Predicate::join(c(1, 1), c(2, 0)),
+        Predicate::join(c(2, 1), c(3, 0)),
+        Predicate::join(c(3, 1), c(4, 0)),
+    ];
+    for t in 0..4u32 {
+        preds.push(Predicate::filter(c(t, 0), CmpOp::Le, (t as i64) + 3));
+        preds.push(Predicate::range(c(t, 1), 1, (t as i64) + 4));
+    }
+    let q = SpjQuery::from_predicates(preds).unwrap();
+    assert_eq!(q.predicates.len(), 12);
+    (db, q)
+}
+
+/// Armed failpoints do not break the backend seam's identity: whether or
+/// not the injected panic fires, any completed answer from an
+/// explicit-`DiffBackend` estimator carries the default path's exact bits,
+/// and a fresh estimator after the chaos is unpolluted.
+#[test]
+fn diff_backend_identity_survives_armed_failpoints() {
+    let _guard = failpoint::test_serial_guard();
+    failpoint::disarm_all();
+    let (db, q) = chain_db_and_query();
+    let catalog = build_pool(&db, std::slice::from_ref(&q), PoolSpec::ji(1)).unwrap();
+    let mut base = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
+        .with_strategy(DpStrategy::Dense);
+    let (ss, se) = base.get_selectivity(base.context().all());
+
+    failpoint::arm_with("dp::solve_mask", Action::Panic, 64, None, 9);
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let mut est = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
+            .with_strategy(DpStrategy::Dense)
+            .with_backend(Arc::new(DiffBackend));
+        est.get_selectivity(est.context().all())
+    }));
+    failpoint::disarm("dp::solve_mask");
+    if let Ok((s, e)) = outcome {
+        assert_eq!(s.to_bits(), ss.to_bits(), "survived arm");
+        assert_eq!(e.to_bits(), se.to_bits(), "survived arm");
+    }
+    let mut fresh = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
+        .with_strategy(DpStrategy::Dense)
+        .with_backend(Arc::new(DiffBackend));
+    let (fs, fe) = fresh.get_selectivity(fresh.context().all());
+    assert_eq!(fs.to_bits(), ss.to_bits(), "fresh after chaos");
+    assert_eq!(fe.to_bits(), se.to_bits(), "fresh after chaos");
+}
+
+/// Armed `dp::solve_mask` failpoints under the beam walk: a panic either
+/// propagates cleanly (nothing half-committed) or never fires — and then
+/// the answer must still be bit-exact. A fresh estimator afterwards is
+/// unpolluted either way.
+#[test]
+fn beam_survives_armed_failpoints() {
+    let _guard = failpoint::test_serial_guard();
+    let (db, q) = chain_db_and_query();
+    let catalog = build_pool(&db, std::slice::from_ref(&q), PoolSpec::ji(1)).unwrap();
+    let mut serial = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
+        .with_strategy(DpStrategy::Recursive);
+    let (ss, se) = serial.get_selectivity(serial.context().all());
+
+    failpoint::arm_with("dp::solve_mask", Action::Panic, 64, None, 7);
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let mut est = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
+            .with_strategy(DpStrategy::Beam)
+            .with_beam_config(BeamConfig::UNBOUNDED);
+        est.get_selectivity(est.context().all())
+    }));
+    failpoint::disarm("dp::solve_mask");
+    if let Ok((s, e)) = outcome {
+        assert_eq!(s.to_bits(), ss.to_bits(), "survived arm must be exact");
+        assert_eq!(e.to_bits(), se.to_bits(), "survived arm must be exact");
+    }
+    let mut fresh = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
+        .with_strategy(DpStrategy::Beam)
+        .with_beam_config(BeamConfig::UNBOUNDED);
+    let (fs, fe) = fresh.get_selectivity(fresh.context().all());
+    assert_eq!(fs.to_bits(), ss.to_bits(), "fresh after chaos");
+    assert_eq!(fe.to_bits(), se.to_bits(), "fresh after chaos");
 }

@@ -16,7 +16,7 @@ use sqe::core::{
 };
 use sqe::datagen::{generate_mutations, MutationConfig};
 use sqe::prelude::*;
-use sqe::service::{DpThreadsMode, EstimationService, ServiceConfig};
+use sqe::service::{EstimationService, ServiceConfig};
 
 fn service_setup(mode: ErrorMode) -> (Arc<Database>, Vec<SpjQuery>, EstimationService) {
     let sf = Snowflake::generate(SnowflakeConfig {
@@ -427,9 +427,7 @@ proptest! {
     /// Parallel `estimate_batch` is bit-identical and order-stable vs the
     /// sequential path across worker counts {1, 2, 8} — comparing every
     /// deterministic `Estimate` field (the `cached` flag is scheduling-
-    /// dependent by design). The 8-worker service also stacks the
-    /// rank-parallel DP fill (2 DP threads per estimator) to cover the two
-    /// parallel layers composed.
+    /// dependent by design).
     #[test]
     fn parallel_batches_are_bit_identical_and_order_stable(
         db in gen_db(),
@@ -440,22 +438,21 @@ proptest! {
         let mode = mode_of(mode_i);
         let db = Arc::new(db);
         let pool = || build_pool(&db, &wl, PoolSpec::ji(pool_i)).expect("pool build");
-        let config = |batch: usize, dp: usize| ServiceConfig {
+        let config = |batch: usize| ServiceConfig {
             mode,
             batch_threads: Some(NonZeroUsize::new(batch).unwrap()),
-            dp_threads: DpThreadsMode::Fixed(NonZeroUsize::new(dp).unwrap()),
             ..ServiceConfig::default()
         };
-        let sequential = EstimationService::new(Arc::clone(&db), pool(), config(1, 1));
+        let sequential = EstimationService::new(Arc::clone(&db), pool(), config(1));
         let expected: Vec<_> = sequential.estimate_batch(&wl).iter().map(estimate_bits).collect();
-        for (batch, dp) in [(2, 1), (8, 2)] {
-            let svc = EstimationService::new(Arc::clone(&db), pool(), config(batch, dp));
+        for batch in [2, 8] {
+            let svc = EstimationService::new(Arc::clone(&db), pool(), config(batch));
             // Two rounds: cold caches, then warm (whole-query hits).
             for round in ["cold", "warm"] {
                 let got: Vec<_> = svc.estimate_batch(&wl).iter().map(estimate_bits).collect();
                 prop_assert_eq!(
                     &got, &expected,
-                    "{} batch threads, {} dp threads, {}", batch, dp, round
+                    "{} batch threads, {}", batch, round
                 );
             }
         }
