@@ -138,13 +138,13 @@ mod tests {
 
     #[test]
     fn microseconds_round_to_nanosecond_precision() {
-        assert_eq!(round_us(914_232.516_000_000_003), 914_232.516);
+        assert_eq!(round_us(914_232.516_f64.next_up()), 914_232.516);
         assert_eq!(round_us(0.000_4), 0.0);
         assert_eq!(round_us(0.000_6), 0.001);
         assert_eq!(round_us(12.0), 12.0);
         // Round-tripping through JSON keeps the short decimal form.
         assert_eq!(
-            serde_json::to_string(&round_us(914_232.516_000_000_003)).unwrap(),
+            serde_json::to_string(&round_us(914_232.516_f64.next_up())).unwrap(),
             "914232.516"
         );
     }

@@ -35,6 +35,7 @@ use sqe_engine::Predicate;
 use sqe_histogram::Histogram;
 
 use crate::error::ErrorMode;
+use crate::predset::{PredSet, QueryContext};
 use crate::sit::SitId;
 
 /// Canonical fingerprint of a conditional selectivity request
@@ -48,12 +49,12 @@ use crate::sit::SitId;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     mode: ErrorMode,
-    /// The estimated predicates `P'`, canonicalized.
-    preds: Vec<Predicate>,
-    /// The conditioning set `Q`, canonicalized. For sequence-sensitive
-    /// entries ([`CacheKey::query`]) this instead preserves the caller's
-    /// order.
-    cond: Vec<Predicate>,
+    /// `P'` then `Q` in one allocation, each canonicalized. For
+    /// sequence-sensitive entries ([`CacheKey::query`]) `P'` instead
+    /// preserves the caller's order and `Q` is empty.
+    preds: Box<[Predicate]>,
+    /// `preds[..split]` is `P'`, `preds[split..]` is `Q`.
+    split: usize,
     /// True for order-preserving whole-query keys.
     sequenced: bool,
 }
@@ -61,10 +62,34 @@ pub struct CacheKey {
 impl CacheKey {
     /// Key for the conditional factor `Sel(preds | cond)` under `mode`.
     pub fn conditional(mode: ErrorMode, preds: &[Predicate], cond: &[Predicate]) -> Self {
+        let mut all = canonicalize(preds);
+        let split = all.len();
+        all.extend(canonicalize(cond));
         CacheKey {
             mode,
-            preds: canonicalize(preds),
-            cond: canonicalize(cond),
+            preds: all.into_boxed_slice(),
+            split,
+            sequenced: false,
+        }
+    }
+
+    /// Key for the link `Sel(pᵢ | cset)` of one query: equal to
+    /// `CacheKey::conditional(mode, &[pᵢ], &ctx.predicates_of(cset))`, but
+    /// built in one allocation from the query's presorted predicate order.
+    pub(crate) fn link(mode: ErrorMode, ctx: &QueryContext, i: usize, cset: PredSet) -> Self {
+        let mut preds = Vec::with_capacity(1 + cset.len());
+        preds.push(*ctx.predicate(i));
+        let mut last = None;
+        for p in ctx.sorted_predicates_of(cset) {
+            if last != Some(p) {
+                preds.push(*p);
+                last = Some(p);
+            }
+        }
+        CacheKey {
+            mode,
+            preds: preds.into_boxed_slice(),
+            split: 1,
             sequenced: false,
         }
     }
@@ -83,8 +108,8 @@ impl CacheKey {
     pub fn query(mode: ErrorMode, preds: &[Predicate]) -> Self {
         CacheKey {
             mode,
-            preds: preds.to_vec(),
-            cond: Vec::new(),
+            preds: preds.into(),
+            split: preds.len(),
             sequenced: true,
         }
     }
@@ -101,7 +126,6 @@ impl CacheKey {
     pub fn touches(&self, tables: &[sqe_engine::TableId]) -> bool {
         self.preds
             .iter()
-            .chain(self.cond.iter())
             .flat_map(|p| p.tables().iter())
             .any(|t| tables.contains(&t))
     }
@@ -192,5 +216,82 @@ mod tests {
             CacheKey::query(ErrorMode::NInd, &[p1]),
             CacheKey::conditional(ErrorMode::NInd, &[p1], &[])
         );
+    }
+
+    /// Eight predicates over three tables — filters, ranges and joins,
+    /// two sharing a column — so sorted order interleaves the kinds.
+    fn pool() -> [Predicate; 8] {
+        [
+            Predicate::filter(c(0, 0), CmpOp::Lt, 5),
+            Predicate::filter(c(0, 0), CmpOp::Eq, 5),
+            Predicate::range(c(0, 1), 2, 9),
+            Predicate::join(c(0, 1), c(1, 0)),
+            Predicate::join(c(1, 1), c(2, 0)),
+            Predicate::filter(c(2, 1), CmpOp::Eq, 7),
+            Predicate::range(c(1, 0), -3, 3),
+            Predicate::join(c(2, 0), c(0, 0)),
+        ]
+    }
+
+    fn context(preds: Vec<Predicate>) -> QueryContext {
+        use sqe_engine::table::TableBuilder;
+        use sqe_engine::{Database, SpjQuery};
+        let mut db = Database::new();
+        for t in 0..3 {
+            db.add_table(
+                TableBuilder::new(format!("t{t}"))
+                    .column("a", vec![1, 2, 3])
+                    .column("b", vec![4, 5, 6])
+                    .build()
+                    .unwrap(),
+            );
+        }
+        let q = SpjQuery::new(vec![TableId(0), TableId(1), TableId(2)], preds).unwrap();
+        QueryContext::new(&db, &q)
+    }
+
+    proptest::proptest! {
+        /// Link keys equal the conditional keys of the same sets, for every
+        /// predicate and every conditioning set of queries that may repeat
+        /// predicates; and permuting a query's predicates leaves the key of
+        /// each (predicate, set) pair unchanged.
+        #[test]
+        fn link_keys_equal_conditional_keys(
+            picks in proptest::collection::vec(0usize..8, 1..8),
+            shuffle in proptest::arbitrary::any::<u64>(),
+            m in 0u8..3,
+        ) {
+            let mode = [ErrorMode::NInd, ErrorMode::Diff, ErrorMode::Opt][m as usize];
+            let pool = pool();
+            let preds: Vec<Predicate> = picks.iter().map(|&j| pool[j]).collect();
+            let n = preds.len();
+            // Fisher–Yates: position k of the permuted query holds
+            // predicate `perm[k]` of the original.
+            let mut perm: Vec<usize> = (0..n).collect();
+            let mut state = shuffle;
+            for k in (1..n).rev() {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                perm.swap(k, (state >> 33) as usize % (k + 1));
+            }
+            let a = context(preds.clone());
+            let b = context(perm.iter().map(|&j| preds[j]).collect());
+            for mask in 0..1u32 << n {
+                let cset = PredSet(mask);
+                let cset_b = PredSet(
+                    (0..n).filter(|&k| cset.contains(perm[k])).fold(0, |m, k| m | 1 << k),
+                );
+                for (i, &p) in preds.iter().enumerate() {
+                    let key = CacheKey::link(mode, &a, i, cset);
+                    let reference = CacheKey::conditional(mode, &[p], &a.predicates_of(cset));
+                    proptest::prop_assert_eq!(&key, &reference);
+                }
+                for (k, &i) in perm.iter().enumerate() {
+                    proptest::prop_assert_eq!(
+                        CacheKey::link(mode, &b, k, cset_b),
+                        CacheKey::link(mode, &a, i, cset)
+                    );
+                }
+            }
+        }
     }
 }

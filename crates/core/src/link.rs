@@ -151,9 +151,7 @@ pub(crate) fn compute_peel(
     // the conditioning *set*, and the mode (every in-link choice below
     // breaks ties by value, never by within-query ordering), so the
     // canonicalized key is exact.
-    let shared_key = lc
-        .shared
-        .map(|_| CacheKey::conditional(lc.mode, &[pred], &lc.ctx.predicates_of(cset)));
+    let shared_key = lc.shared.map(|_| CacheKey::link(lc.mode, lc.ctx, i, cset));
     if let (Some(cache), Some(k)) = (lc.shared, &shared_key) {
         if let Some(r) = cache.get_link(k) {
             return r;

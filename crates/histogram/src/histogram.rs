@@ -723,7 +723,7 @@ mod tests {
     /// fractional masses, and disjoint domains.
     #[test]
     fn merge_scan_join_is_bit_identical_to_reference() {
-        let mut state = 0x7AB1E_5EED_0042u64;
+        let mut state = 0x7_AB1E_5EED_0042u64;
         for case in 0..300 {
             let a = lcg_hist(&mut state, 30);
             let b = lcg_hist(&mut state, 30);

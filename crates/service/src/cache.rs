@@ -2,11 +2,19 @@
 //!
 //! One [`ShardedCache`] serves every estimator running against a catalog
 //! snapshot. Keys are spread across a power-of-two number of shards by
-//! hash, each shard a [`parking_lot::Mutex`] around three bounded
-//! [`LruMap`]s (conditional links, SIT-pair join selectivities, and `H3`
-//! histogram products), so concurrent estimators contend only when their
-//! keys land on the same shard. Hit/miss/insert/evict counters are relaxed
-//! atomics — they are monitoring data, not synchronization.
+//! hash, each shard a [`parking_lot::Mutex`] around four bounded LRU maps
+//! (conditional links, whole-query results, SIT-pair join selectivities,
+//! and `H3` histogram products), so concurrent estimators contend only
+//! when their keys land on the same shard.
+//!
+//! Each call hashes its key exactly once, with SipHash keyed by the
+//! cache's own [`RandomState`]: tenants send predicates over HTTP, and an
+//! unkeyed hash would let one tenant aim collisions at a probe run. The
+//! hash's high bits pick the shard and its low bits address the map's
+//! index, so the keys of one shard still spread over its whole index.
+//! Keys are stored and compared in full; a hash match alone never decides
+//! a hit. Hit/miss/insert/evict counters are relaxed atomics — they are
+//! monitoring data, not synchronization.
 
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash};
@@ -44,9 +52,10 @@ struct Shard {
 /// outlive the catalog that defines them.
 pub struct ShardedCache {
     shards: Box<[Mutex<Shard>]>,
-    /// Fixed hasher so one key always maps to one shard.
+    /// Fixed, per-instance keyed hasher: one key always maps to one hash.
     hasher: RandomState,
-    mask: usize,
+    /// `64 − log₂(shard count)`: the shard is the hash's high bits.
+    shift: u32,
     /// Set when a request panicked mid-estimate against this snapshot:
     /// the cache can no longer prove which writes the dying estimator
     /// completed, so every lookup misses and every insert is dropped
@@ -79,7 +88,7 @@ impl ShardedCache {
         ShardedCache {
             shards,
             hasher: RandomState::new(),
-            mask: count - 1,
+            shift: 64 - count.trailing_zeros(),
             quarantined: AtomicBool::new(false),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -130,7 +139,8 @@ impl ShardedCache {
                 if k.touches(touched_tables) {
                     stats.dropped += 1;
                 } else {
-                    new.shard_for(k).lock().links.insert(k.clone(), *v);
+                    let (hash, to) = new.locate(k);
+                    to.lock().links.insert(hash, k.clone(), *v);
                     stats.carried += 1;
                 }
             }
@@ -138,7 +148,8 @@ impl ShardedCache {
                 if k.touches(touched_tables) {
                     stats.dropped += 1;
                 } else {
-                    new.shard_for(k).lock().queries.insert(k.clone(), *v);
+                    let (hash, to) = new.locate(k);
+                    to.lock().queries.insert(hash, k.clone(), *v);
                     stats.carried += 1;
                 }
             }
@@ -146,7 +157,8 @@ impl ShardedCache {
                 if pair_stale(k) {
                     stats.dropped += 1;
                 } else {
-                    new.shard_for(k).lock().joins.insert(*k, *v);
+                    let (hash, to) = new.locate(k);
+                    to.lock().joins.insert(hash, *k, *v);
                     stats.carried += 1;
                 }
             }
@@ -154,7 +166,8 @@ impl ShardedCache {
                 if pair_stale(k) {
                     stats.dropped += 1;
                 } else {
-                    new.shard_for(k).lock().h3.insert(*k, v.clone());
+                    let (hash, to) = new.locate(k);
+                    to.lock().h3.insert(hash, *k, v.clone());
                     stats.carried += 1;
                 }
             }
@@ -200,9 +213,12 @@ impl ShardedCache {
         self.quarantined.load(Ordering::Acquire)
     }
 
-    fn shard_for<K: Hash>(&self, key: &K) -> &Mutex<Shard> {
-        let h = self.hasher.hash_one(key) as usize;
-        &self.shards[h & self.mask]
+    /// The key's one hash and the shard it picks. `checked_shr` covers
+    /// the single shard, a shift by 64.
+    fn locate<K: Hash>(&self, key: &K) -> (u64, &Mutex<Shard>) {
+        let hash = self.hasher.hash_one(key);
+        let shard = hash.checked_shr(self.shift).unwrap_or(0) as usize;
+        (hash, &self.shards[shard])
     }
 
     fn record<T>(&self, found: &Option<T>) {
@@ -225,7 +241,8 @@ impl ShardedCache {
         if self.is_quarantined() {
             return None;
         }
-        let found = self.shard_for(key).lock().queries.get(key).copied();
+        let (hash, shard) = self.locate(key);
+        let found = shard.lock().queries.get(hash, key).copied();
         self.record(&found);
         found
     }
@@ -236,7 +253,8 @@ impl ShardedCache {
         if self.is_quarantined() {
             return;
         }
-        let evicted = self.shard_for(&key).lock().queries.insert(key, value);
+        let (hash, shard) = self.locate(&key);
+        let evicted = shard.lock().queries.insert(hash, key, value);
         self.record_insert(evicted);
     }
 }
@@ -246,7 +264,8 @@ impl SharedEstimatorCache for ShardedCache {
         if self.is_quarantined() {
             return None;
         }
-        let found = self.shard_for(key).lock().links.get(key).copied();
+        let (hash, shard) = self.locate(key);
+        let found = shard.lock().links.get(hash, key).copied();
         self.record(&found);
         found
     }
@@ -255,7 +274,8 @@ impl SharedEstimatorCache for ShardedCache {
         if self.is_quarantined() {
             return;
         }
-        let evicted = self.shard_for(&key).lock().links.insert(key, value);
+        let (hash, shard) = self.locate(&key);
+        let evicted = shard.lock().links.insert(hash, key, value);
         self.record_insert(evicted);
     }
 
@@ -263,7 +283,8 @@ impl SharedEstimatorCache for ShardedCache {
         if self.is_quarantined() {
             return None;
         }
-        let found = self.shard_for(&pair).lock().joins.get(&pair).copied();
+        let (hash, shard) = self.locate(&pair);
+        let found = shard.lock().joins.get(hash, &pair).copied();
         self.record(&found);
         found
     }
@@ -272,7 +293,8 @@ impl SharedEstimatorCache for ShardedCache {
         if self.is_quarantined() {
             return;
         }
-        let evicted = self.shard_for(&pair).lock().joins.insert(pair, selectivity);
+        let (hash, shard) = self.locate(&pair);
+        let evicted = shard.lock().joins.insert(hash, pair, selectivity);
         self.record_insert(evicted);
     }
 
@@ -280,7 +302,8 @@ impl SharedEstimatorCache for ShardedCache {
         if self.is_quarantined() {
             return None;
         }
-        let found = self.shard_for(&pair).lock().h3.get(&pair).cloned();
+        let (hash, shard) = self.locate(&pair);
+        let found = shard.lock().h3.get(hash, &pair).cloned();
         self.record(&found);
         found
     }
@@ -289,7 +312,8 @@ impl SharedEstimatorCache for ShardedCache {
         if self.is_quarantined() {
             return;
         }
-        let evicted = self.shard_for(&pair).lock().h3.insert(pair, value);
+        let (hash, shard) = self.locate(&pair);
+        let evicted = shard.lock().h3.insert(hash, pair, value);
         self.record_insert(evicted);
     }
 }

@@ -14,9 +14,14 @@
 //!   backed by a [`ShardedCache`] that reuses per-link conditional factors
 //!   and SIT join products across queries and threads;
 //! * [`ShardedCache`] — N shards of `parking_lot::Mutex` around bounded
-//!   [`lru::LruMap`]s, keyed by canonicalized
+//!   LRU maps, keyed by canonicalized
 //!   `(predicate-set, conditioning-set, error-mode)` fingerprints
-//!   ([`sqe_core::CacheKey`]);
+//!   ([`sqe_core::CacheKey`]). Each call hashes its key once with keyed
+//!   SipHash (tenants choose the predicates, so the hash must stay keyed);
+//!   the high bits pick the shard and the low bits probe a flat
+//!   open-addressed index over the shard's entries. Keys are stored and
+//!   compared in full, so no fingerprint alone decides a hit, and every
+//!   map evicts in exact least-recently-used order;
 //! * [`ServiceStatsSnapshot`] — atomic counters and a power-of-two latency
 //!   histogram for monitoring.
 //!
@@ -28,13 +33,12 @@
 
 pub mod admission;
 pub mod cache;
-pub mod lru;
+mod lru;
 pub mod service;
 pub mod stats;
 
 pub use admission::{AdmissionControl, Permit};
 pub use cache::{CacheCounters, CarryStats, ShardedCache};
-pub use lru::LruMap;
 pub use service::{
     CatalogSnapshot, Estimate, EstimationService, PartialInstallOutcome, ServiceConfig,
     ServiceError,

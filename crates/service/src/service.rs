@@ -566,8 +566,8 @@ impl EstimationService {
         // exact `Full` answers are cached — the invariant budgeted cache
         // hits rely on) and are labeled honestly.
         let routed = self.config.dp_strategy.use_beam(query.predicates.len());
-        let key = CacheKey::query(self.config.mode, &query.predicates);
-        let hit = (!routed).then(|| snapshot.cache.get_query(&key)).flatten();
+        let key = (!routed).then(|| CacheKey::query(self.config.mode, &query.predicates));
+        let hit = key.as_ref().and_then(|k| snapshot.cache.get_query(k));
         let (result, cached) = match hit {
             Some(hit) => (hit, true),
             None => {
@@ -594,7 +594,7 @@ impl EstimationService {
                 }
                 let all = est.context().all();
                 let result = est.get_selectivity(all);
-                if !routed {
+                if let Some(key) = key {
                     snapshot.cache.put_query(key, result);
                 }
                 (result, false)

@@ -324,7 +324,6 @@ fn seeded_n32_query_answers_beam_under_default_deadline() {
             filters: 25,
             target_selectivity: 0.5,
             seed: 0xBEE5,
-            ..Default::default()
         },
     );
     let query = &wl[0];

@@ -171,7 +171,7 @@ fn hard_query() -> (Database, SpjQuery) {
         let vals: Vec<i64> = (0..rows)
             .map(|r| ((r as i64).wrapping_mul(0x9E37 + c as i64 * 7)) % 97)
             .collect();
-        builder = builder.column(&format!("c{c}"), vals);
+        builder = builder.column(format!("c{c}"), vals);
     }
     let mut db = Database::new();
     db.add_table(builder.build().unwrap());

@@ -51,7 +51,7 @@ fn chaos_db() -> Arc<Database> {
         let a: Vec<i64> = (0..rows).map(|r| ((r * 7 + t * 3) % 23) as i64).collect();
         let b: Vec<i64> = (0..rows).map(|r| ((r * 13 + t * 5) % 17) as i64).collect();
         db.add_table(
-            TableBuilder::new(&format!("t{t}"))
+            TableBuilder::new(format!("t{t}"))
                 .column("a", a)
                 .column("b", b)
                 .build()
@@ -100,7 +100,7 @@ fn random_budget(rng: &mut Rng) -> Budget {
         2 => Budget::unlimited().with_quota(rng.next() % 200),
         _ => {
             let c = CancelToken::new();
-            if rng.next() % 2 == 0 {
+            if rng.next().is_multiple_of(2) {
                 c.cancel();
             }
             Budget::unlimited().with_cancel(c)

@@ -52,7 +52,7 @@ fn small_db(salt: usize) -> Database {
             .map(|r| ((r * 13 + t * 5 + salt * 11) % 17) as i64)
             .collect();
         db.add_table(
-            TableBuilder::new(&format!("t{t}"))
+            TableBuilder::new(format!("t{t}"))
                 .column("a", a)
                 .column("b", b)
                 .build()
@@ -217,7 +217,7 @@ fn wire_protocol_is_total_and_answers_match_the_service() {
             "wire answer diverged from the service"
         );
         assert!(wire.cardinality.is_finite() && wire.error.is_finite());
-        assert!(wire.upper_bound.map_or(true, f64::is_finite));
+        assert!(wire.upper_bound.is_none_or(f64::is_finite));
         let _ = wire.cached;
     }
 
