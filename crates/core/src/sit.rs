@@ -176,14 +176,14 @@ pub struct SitCatalog {
 // Manual impls (rather than `#[serde(from/into)]`) so only the SIT list is
 // encoded; the attribute index is rebuilt on load.
 impl serde::Serialize for SitCatalog {
-    fn to_value(&self) -> serde::Value {
-        self.sits.to_value()
+    fn serialize(&self, w: &mut serde::Writer) -> Result<(), serde::Error> {
+        self.sits.serialize(w)
     }
 }
 
 impl serde::Deserialize for SitCatalog {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(SitCatalog::from(Vec::<Sit>::from_value(v)?))
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        Vec::<Sit>::deserialize(r).map(SitCatalog::from)
     }
 }
 

@@ -92,24 +92,28 @@ impl Default for Histogram {
 }
 
 impl serde::Serialize for Histogram {
-    fn to_value(&self) -> serde::Value {
+    fn serialize(&self, w: &mut serde::Writer) -> Result<(), serde::Error> {
         // Manual impl (the derive would add the derived CDF fields): same
         // `{buckets, null_count}` object the former derive produced.
-        serde::Value::Object(vec![
-            ("buckets".to_string(), self.buckets.to_value()),
-            ("null_count".to_string(), self.null_count.to_value()),
-        ])
+        w.begin_object();
+        w.field("buckets", &self.buckets)?;
+        w.field("null_count", &self.null_count)?;
+        w.end_object();
+        Ok(())
     }
 }
 
+/// The wire form a [`Histogram`] decodes from; the CDFs are rebuilt.
+#[derive(serde::Deserialize)]
+struct HistogramWire {
+    buckets: Vec<Bucket>,
+    null_count: f64,
+}
+
 impl serde::Deserialize for Histogram {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let fields = v
-            .as_object()
-            .ok_or_else(|| serde::Error::msg("Histogram: expected object"))?;
-        let buckets = Vec::<Bucket>::from_value(serde::field(fields, "buckets")?)?;
-        let null_count = f64::from_value(serde::field(fields, "null_count")?)?;
-        Ok(Histogram::new(buckets, null_count))
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let wire = HistogramWire::deserialize(r)?;
+        Ok(Histogram::new(wire.buckets, wire.null_count))
     }
 }
 
@@ -782,16 +786,25 @@ mod tests {
 
     #[test]
     fn serde_wire_format_is_buckets_and_null_count_only() {
+        use serde::{Deserialize, Serialize};
         let h = uniform_hist(1, 10, 40.0);
-        let v = serde::Serialize::to_value(&h);
-        let fields = v.as_object().expect("object");
-        let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        let mut w = serde::Writer::compact();
+        h.serialize(&mut w).expect("finite histogram serializes");
+        let text = w.into_string();
+        let mut r = serde::Reader::new(&text);
+        let mut names = Vec::new();
+        let mut more = r.begin_object().expect("object");
+        while more {
+            names.push(r.key().expect("key").to_string());
+            r.skip_value().expect("value");
+            more = r.next_entry().expect("entry");
+        }
         assert_eq!(
             names,
             ["buckets", "null_count"],
             "derived CDFs stay off the wire"
         );
-        let back = <Histogram as serde::Deserialize>::from_value(&v).expect("roundtrip");
+        let back = Histogram::deserialize(&mut serde::Reader::new(&text)).expect("roundtrip");
         assert_eq!(back, h);
         // The roundtripped histogram rebuilt its CDFs.
         assert_eq!(back.valid_rows().to_bits(), h.valid_rows().to_bits());

@@ -321,7 +321,9 @@ impl FrontDoor {
         let query = match SpjQuery::new(
             wire.tables.into_iter().map(TableId).collect(),
             wire.predicates,
-        ) {
+        )
+        .and_then(|q| check_schema(tenant.service().snapshot().db(), q))
+        {
             Ok(q) => q,
             Err(e) => return Response::json(400, err_body(&format!("invalid query: {e}"), None)),
         };
@@ -384,6 +386,20 @@ impl FrontDoor {
         );
         out
     }
+}
+
+/// Passes `query` through when `db` has every table and column it names:
+/// the estimator must never see an id that indexes past the schema.
+fn check_schema(db: &Database, query: SpjQuery) -> sqe_engine::Result<SpjQuery> {
+    for &table in &query.tables {
+        db.table(table)?;
+    }
+    for p in &query.predicates {
+        for col in p.columns().iter() {
+            db.column(col)?;
+        }
+    }
+    Ok(query)
 }
 
 /// Wire shape of `POST /v1/<tenant>/estimate`. All fields are required

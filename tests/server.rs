@@ -244,6 +244,7 @@ fn wire_protocol_is_total_and_answers_match_the_service() {
     assert!(body_str(&stats).contains("\"served_total\""));
 
     // Garbage maps to labeled 4xx, never a panic.
+    let deep = format!("{{\"x\":{}", "[".repeat(100_000));
     for (req, want) in [
         (Request::new("POST", "/v1/nobody/estimate", "{}"), 404),
         (Request::new("POST", "/v1/acme/estimate", "not json"), 400),
@@ -253,6 +254,31 @@ fn wire_protocol_is_total_and_answers_match_the_service() {
             400,
         ),
         (Request::new("POST", "/v1/acme/ingest", "{\"seq\":0}"), 400),
+        // Nesting past the JSON depth bound, even in a skipped field:
+        // refused, never a stack overflow.
+        (Request::new("POST", "/v1/acme/estimate", deep.clone()), 400),
+        (Request::new("POST", "/v1/acme/ingest", deep.clone()), 400),
+        // A table or column the tenant's schema does not have.
+        (
+            Request::new(
+                "POST",
+                "/v1/acme/estimate",
+                "{\"tables\":[99],\"predicates\":[],\"deadline_ms\":null}",
+            ),
+            400,
+        ),
+        (
+            Request::new(
+                "POST",
+                "/v1/acme/estimate",
+                concat!(
+                    "{\"tables\":[0],\"predicates\":[{\"Range\":{\"col\":",
+                    "{\"table\":0,\"column\":999},\"lo\":0,\"hi\":5}}],",
+                    "\"deadline_ms\":null}"
+                ),
+            ),
+            400,
+        ),
         (Request::new("GET", "/v1/acme/estimate", ""), 404),
         (Request::new("DELETE", "/v1/acme/estimate", ""), 405),
         (Request::new("GET", "/no/such/route", ""), 404),
