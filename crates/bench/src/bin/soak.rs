@@ -47,7 +47,7 @@ use sqe_datagen::{
 };
 use sqe_engine::{Predicate, SpjQuery};
 use sqe_server::{FrontDoor, QuotaConfig, Request, Tenant, TenantConfig};
-use sqe_service::ServiceConfig;
+use sqe_service::{ServiceConfig, ServiceStatsSnapshot};
 
 /// Wire shape of `POST /v1/<tenant>/estimate` (mirrors the server's
 /// request schema; every field is required, `deadline_ms` nullable).
@@ -189,24 +189,19 @@ fn drive(
 }
 
 fn phase_stats(
-    before: &sqe_server::MetricsSnapshot,
-    after: &sqe_server::MetricsSnapshot,
+    before: &ServiceStatsSnapshot,
+    after: &ServiceStatsSnapshot,
     counts: ClientCounts,
 ) -> PhaseStats {
-    let rung_mix: Vec<RungShare> = after
-        .rungs
+    let rung_mix: Vec<RungShare> = Quality::ALL
         .iter()
-        .zip(&before.rungs)
-        .map(|(a, b)| RungShare {
-            rung: a.rung.clone(),
-            served: a.served - b.served,
+        .map(|&q| RungShare {
+            rung: q.label().to_string(),
+            served: after.quality_count(q) - before.quality_count(q),
         })
         .collect();
-    let served: u64 = rung_mix.iter().map(|r| r.served).sum();
-    let full = rung_mix
-        .iter()
-        .find(|r| r.rung == "full")
-        .map_or(0, |r| r.served);
+    let served = after.estimates - before.estimates;
+    let full = after.quality_count(Quality::Full) - before.quality_count(Quality::Full);
     PhaseStats {
         served,
         full_fraction: if served == 0 {
@@ -216,10 +211,10 @@ fn phase_stats(
         },
         rung_mix,
         sheds: after.sheds - before.sheds,
-        shed_retry_ms_max: after.shed_retry_ms_max,
-        p50_us: after.p50_us,
-        p99_us: after.p99_us,
-        p999_us: after.p999_us,
+        shed_retry_ms_max: after.shed_retry_ns_max as f64 / 1e6,
+        p50_us: after.latency.quantile_us(0.50),
+        p99_us: after.latency.quantile_us(0.99),
+        p999_us: after.latency.quantile_us(0.999),
         max_epoch: after.max_epoch,
         http_200: counts.http_200,
         http_429: counts.http_429,
@@ -368,7 +363,7 @@ fn main() {
 
     // --- Phase 1: everyone inside quota (0.8×) ------------------------
     eprintln!("phase 1: baseline, {baseline_secs}s ...");
-    let snap_before: Vec<_> = tenants.iter().map(|t| t.metrics().snapshot()).collect();
+    let snap_before: Vec<_> = tenants.iter().map(|t| t.service().stats()).collect();
     let mut batch_cursors = vec![0usize; n_tenants];
     let baseline_counts: Vec<ClientCounts> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..n_tenants)
@@ -398,7 +393,7 @@ fn main() {
             .map(|h| h.join().expect("client"))
             .collect()
     });
-    let snap_mid: Vec<_> = tenants.iter().map(|t| t.metrics().snapshot()).collect();
+    let snap_mid: Vec<_> = tenants.iter().map(|t| t.service().stats()).collect();
 
     // --- Phase 2: tenant 0 at 2× its quota ----------------------------
     eprintln!("phase 2: overload t0 at 2x, {overload_secs}s ...");
@@ -441,7 +436,7 @@ fn main() {
             })
             .collect()
     });
-    let snap_after: Vec<_> = tenants.iter().map(|t| t.metrics().snapshot()).collect();
+    let snap_after: Vec<_> = tenants.iter().map(|t| t.service().stats()).collect();
 
     // --- Assemble per-tenant reports ----------------------------------
     let mut tenant_reports = Vec::new();
@@ -538,6 +533,9 @@ fn main() {
     }
 
     // --- TCP smoke: the reactor answers real sockets ------------------
+    // The hot tenant ends phase 2 with its bucket drained: wait one
+    // refill period, so its probe below is admitted instead of shed.
+    std::thread::sleep(Duration::from_secs_f64(1.0 / hot_rate));
     eprintln!("tcp smoke ...");
     let handle = sqe_server::spawn(Arc::clone(&door), "127.0.0.1:0").expect("bind loopback");
     let addr = handle.addr();

@@ -107,7 +107,7 @@ pub struct IngestReport {
     /// Their ids are stable but their *histograms changed*: any cached
     /// product computed from the old histogram (SIT-pair join
     /// selectivities, `H3` products) is stale, exactly as for
-    /// [`sits_refreshed`].
+    /// [`IngestReport::sits_refreshed`].
     pub sits_merged: Vec<SitId>,
     /// Affected SITs left in place (merged or deferred within bounds).
     pub sits_deferred: usize,

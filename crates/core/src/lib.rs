@@ -79,7 +79,7 @@ pub use flat::{DenseMemo, FlatMemo, PeelMemo};
 pub use groupby::{cardenas, true_group_count};
 pub use gvm::GreedyViewMatching;
 pub use ladder::{BudgetedEstimate, Ladder};
-pub use metrics::{MetricsSink, NullSink};
+pub use metrics::{LatencyHistogram, LatencySnapshot, MetricsSink, NullSink};
 pub use persist::{clean_stale_temps, load_catalog, save_catalog, stale_temp_files};
 pub use pessimistic::{BoundSketch, PessimisticBackend};
 pub use pool::{build_pool, build_pool_threaded, build_pool_with, PoolSpec};

@@ -340,7 +340,7 @@ impl Histogram {
     /// distribution `H3` of the join attribute.
     ///
     /// The segment walk runs on the two-pointer merge kernel
-    /// ([`crate::kernels::join_segments`]), bit-identical to
+    /// (`kernels::join_segments`), bit-identical to
     /// [`Histogram::join_reference`] (pinned by a test below) but without
     /// the boundary sort or per-segment binary searches.
     pub fn join(&self, other: &Histogram) -> JoinResult {

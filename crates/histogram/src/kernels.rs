@@ -24,7 +24,7 @@
 //!   no-op by the loop invariant) so every load is provably in bounds
 //!   without `unsafe`. Used when several probes hit one CDF (batched
 //!   filter estimation, the kernels microbench).
-//! * [`join_segments`] — the histogram equi-join inner loop as a two-pointer
+//! * `join_segments` — the histogram equi-join inner loop as a two-pointer
 //!   merge over bucket boundaries, replacing the former
 //!   sort + dedup + per-segment binary search. The cut sequence, per-segment
 //!   arithmetic, and accumulation order are identical to the reference

@@ -11,7 +11,9 @@
 //!   overload into *its own* quality degradation;
 //! - [`tenant`] — the [`FrontDoor`]: a registry of tenants, each with an
 //!   independent epoch-tagged catalog ([`sqe_core::LiveCatalog`] +
-//!   partial installs) and a [`crate::metrics::TenantMetrics`] sink, all
+//!   partial installs) and its own service, whose
+//!   [`sqe_service::ServiceStats`] sink counts everything the tenant's
+//!   requests do (the front door's gates report their sheds into it), all
 //!   sharing one process-wide [`sqe_service::AdmissionControl`];
 //! - [`server`] — a single-threaded non-blocking reactor
 //!   (`TcpListener` poll loop) with the `server::accept` /
@@ -24,7 +26,7 @@
 //! |---|---|---|
 //! | `POST /v1/<tenant>/estimate` | `{"tables":[0,1],"predicates":[...],"deadline_ms":null}` | estimate with rung label, epoch, sound upper bound |
 //! | `POST /v1/<tenant>/ingest` | a [`sqe_engine::delta::DeltaBatch`] | ingest report + new epoch |
-//! | `GET /v1/<tenant>/stats` | — | the tenant's metrics snapshot |
+//! | `GET /v1/<tenant>/stats` | — | the tenant's service stats, as JSON |
 //! | `GET /metrics` | — | Prometheus-style text, all tenants |
 //! | `GET /healthz` | — | `ok` |
 //!
@@ -36,13 +38,12 @@
 #![warn(missing_docs)]
 
 pub mod http;
-pub mod metrics;
+mod metrics;
 pub mod quota;
 pub mod server;
 pub mod tenant;
 
 pub use http::{Request, Response};
-pub use metrics::{MetricsSnapshot, TenantMetrics};
 pub use quota::{QuotaConfig, TokenBucket};
 pub use server::{spawn, ServerHandle, ServerStats};
 pub use tenant::{DoorError, FrontDoor, ShedScope, Tenant, TenantConfig};
@@ -57,7 +58,6 @@ mod assertions {
     fn shared_types_are_send_sync() {
         _assert_send_sync::<FrontDoor>();
         _assert_send_sync::<Tenant>();
-        _assert_send_sync::<TenantMetrics>();
         _assert_send_sync::<TokenBucket>();
     }
 }

@@ -1,470 +1,167 @@
-//! Per-tenant metrics: a [`MetricsSink`] implementation that aggregates
-//! one tenant's request stream into directly queryable counters.
-//!
-//! Before this crate, latency buckets lived process-wide in
-//! `ServiceStats`, so a per-tenant p99 had to be reconstructed by
-//! differencing global snapshots — impossible once two tenants
-//! interleave. Here each tenant owns a [`TenantMetrics`] installed into
-//! its `EstimationService` via `with_metrics`, so rung mix, shed counts,
-//! bound widths, observed ingest epochs, and the full latency histogram
-//! are attributed at the source.
-//!
-//! The latency histogram is log-linear: exact 1 µs buckets below 4 µs,
-//! then four sub-buckets per octave (a bucket's upper edge overstates
-//! its smallest member by at most 25%) up to ~8 s, 88 buckets total. Quantiles walk the
-//! cumulative counts and report the *upper* edge of the containing
-//! bucket, so a reported p99 is conservative — never better than
-//! reality.
-//!
-//! Everything is relaxed atomics: these are monitoring signals read by
-//! `/metrics` scrapes and the soak harness, not synchronization.
+//! A tenant's metrics on the wire: the Prometheus-style `GET /metrics`
+//! text and the `GET /v1/<tenant>/stats` JSON. Both read the tenant
+//! service's [`ServiceStatsSnapshot`] — the service's own aggregating
+//! sink — so the front door keeps no counters of its own. Latency
+//! quantiles are the conservative upper bucket edges of
+//! [`sqe_core::LatencyHistogram`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fmt::Write;
 
-use sqe_core::{DegradeReason, MetricsSink, Quality};
+use sqe_core::Quality;
+use sqe_service::ServiceStatsSnapshot;
 
-/// Number of log-linear latency buckets (µs granularity; see module docs).
-pub const NUM_BUCKETS: usize = 88;
-
-const RELAXED: Ordering = Ordering::Relaxed;
-
-/// Bucket index for a latency of `us` microseconds.
-fn bucket_of_us(us: u64) -> usize {
-    if us < 4 {
-        return us as usize;
-    }
-    let octave = 63 - us.leading_zeros() as u64; // floor(log2(us)) ≥ 2
-    let sub = (us >> (octave - 2)) - 4; // 0..4 within the octave
-    let idx = (4 * (octave - 1) + sub) as usize;
-    idx.min(NUM_BUCKETS - 1)
-}
-
-/// Exclusive upper edge of bucket `idx`, in microseconds.
-fn upper_edge_us(idx: usize) -> u64 {
-    if idx < 4 {
-        return idx as u64 + 1;
-    }
-    let octave = idx as u64 / 4 + 1;
-    let sub = idx as u64 % 4;
-    (sub + 5) << (octave - 2)
-}
-
-fn zeroed() -> [AtomicU64; NUM_BUCKETS] {
-    std::array::from_fn(|_| AtomicU64::new(0))
-}
-
-fn quality_idx(q: Quality) -> usize {
-    Quality::ALL.iter().position(|&x| x == q).unwrap_or(0)
-}
-
-fn reason_idx(r: DegradeReason) -> usize {
-    match r {
-        DegradeReason::Deadline => 0,
-        DegradeReason::WorkQuota => 1,
-        DegradeReason::Cancelled => 2,
-        DegradeReason::Panic => 3,
-    }
-}
-
+/// Degrade-reason labels, in [`ServiceStatsSnapshot::degrade_reasons`]
+/// order.
 const REASON_LABELS: [&str; 4] = ["deadline", "work_quota", "cancelled", "panic"];
 
-/// One tenant's aggregated request metrics (install via
-/// `EstimationService::with_metrics`).
-#[derive(Debug)]
-pub struct TenantMetrics {
-    attempted: [AtomicU64; 6],
-    answered: [AtomicU64; 6],
-    served: [AtomicU64; 6],
-    degraded: [AtomicU64; 4],
-    cached: AtomicU64,
-    latency: [AtomicU64; NUM_BUCKETS],
-    sheds: AtomicU64,
-    shed_retry_ns_sum: AtomicU64,
-    shed_retry_ns_max: AtomicU64,
-    quarantines: AtomicU64,
-    width_count: AtomicU64,
-    /// Σ ratio, in milli-units (×1000), saturating.
-    width_sum_milli: AtomicU64,
-    width_max_milli: AtomicU64,
-    max_epoch: AtomicU64,
-}
-
-impl Default for TenantMetrics {
-    fn default() -> Self {
-        TenantMetrics {
-            attempted: std::array::from_fn(|_| AtomicU64::new(0)),
-            answered: std::array::from_fn(|_| AtomicU64::new(0)),
-            served: std::array::from_fn(|_| AtomicU64::new(0)),
-            degraded: std::array::from_fn(|_| AtomicU64::new(0)),
-            cached: AtomicU64::new(0),
-            latency: zeroed(),
-            sheds: AtomicU64::new(0),
-            shed_retry_ns_sum: AtomicU64::new(0),
-            shed_retry_ns_max: AtomicU64::new(0),
-            quarantines: AtomicU64::new(0),
-            width_count: AtomicU64::new(0),
-            width_sum_milli: AtomicU64::new(0),
-            width_max_milli: AtomicU64::new(0),
-            max_epoch: AtomicU64::new(0),
-        }
-    }
-}
-
-impl MetricsSink for TenantMetrics {
-    fn rung_attempted(&self, quality: Quality) {
-        self.attempted[quality_idx(quality)].fetch_add(1, RELAXED);
-    }
-
-    fn rung_answered(&self, quality: Quality, reason: Option<DegradeReason>) {
-        self.answered[quality_idx(quality)].fetch_add(1, RELAXED);
-        if let Some(r) = reason {
-            self.degraded[reason_idx(r)].fetch_add(1, RELAXED);
-        }
-    }
-
-    fn estimate_served(&self, latency_ns: u64, quality: Quality, cached: bool) {
-        self.served[quality_idx(quality)].fetch_add(1, RELAXED);
-        if cached {
-            self.cached.fetch_add(1, RELAXED);
-        }
-        self.latency[bucket_of_us(latency_ns / 1_000)].fetch_add(1, RELAXED);
-    }
-
-    fn shed(&self, retry_after_ns: u64) {
-        self.sheds.fetch_add(1, RELAXED);
-        self.shed_retry_ns_sum.fetch_add(retry_after_ns, RELAXED);
-        self.shed_retry_ns_max.fetch_max(retry_after_ns, RELAXED);
-    }
-
-    fn quarantine(&self) {
-        self.quarantines.fetch_add(1, RELAXED);
-    }
-
-    fn bound_width(&self, ratio: f64) {
-        let milli = (ratio * 1000.0).min(u64::MAX as f64) as u64;
-        self.width_count.fetch_add(1, RELAXED);
-        self.width_sum_milli.fetch_add(milli, RELAXED);
-        self.width_max_milli.fetch_max(milli, RELAXED);
-    }
-
-    fn ingest_epoch_observed(&self, epoch: u64) {
-        self.max_epoch.fetch_max(epoch, RELAXED);
-    }
-}
-
-impl TenantMetrics {
-    /// Total estimates served (all rungs, cached or not).
-    pub fn served_total(&self) -> u64 {
-        self.served.iter().map(|c| c.load(RELAXED)).sum()
-    }
-
-    /// Estimates served from `quality`.
-    pub fn served_at(&self, quality: Quality) -> u64 {
-        self.served[quality_idx(quality)].load(RELAXED)
-    }
-
-    /// Requests refused (quota or admission) so far.
-    pub fn sheds(&self) -> u64 {
-        self.sheds.load(RELAXED)
-    }
-
-    /// Quarantine events so far.
-    pub fn quarantines(&self) -> u64 {
-        self.quarantines.load(RELAXED)
-    }
-
-    /// Largest retry hint handed out, in nanoseconds (0 when never shed).
-    pub fn max_retry_ns(&self) -> u64 {
-        self.shed_retry_ns_max.load(RELAXED)
-    }
-
-    /// Highest catalog epoch any served answer observed.
-    pub fn max_epoch(&self) -> u64 {
-        self.max_epoch.load(RELAXED)
-    }
-
-    /// Conservative latency quantile in microseconds: the upper edge of
-    /// the bucket containing the `q`-quantile observation (`q` in 0..=1).
-    /// Returns 0 when nothing was recorded.
-    pub fn latency_quantile_us(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = self.latency.iter().map(|c| c.load(RELAXED)).collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (idx, &n) in counts.iter().enumerate() {
-            cumulative += n;
-            if cumulative >= rank {
-                return upper_edge_us(idx);
+/// Appends one tenant's series to `out`, one line per series, all
+/// labeled `tenant="<name>"`. Rungs that never ran are left out.
+pub(crate) fn render(tenant: &str, snap: &ServiceStatsSnapshot, out: &mut String) {
+    let mut line = |name: &str, label: &str, value: u64| {
+        let _ = writeln!(out, "sqe_{name}{{tenant=\"{tenant}\"{label}}} {value}");
+    };
+    for (i, q) in Quality::ALL.iter().enumerate() {
+        let rung = format!(",rung=\"{}\"", q.label());
+        let counts = [
+            ("rung_attempted_total", snap.rung_attempted[i]),
+            ("rung_answered_total", snap.rung_answered[i]),
+            ("estimates_served_total", snap.quality_counts[i]),
+        ];
+        if counts.iter().any(|&(_, n)| n > 0) {
+            for (name, n) in counts {
+                line(name, &rung, n);
             }
         }
-        upper_edge_us(NUM_BUCKETS - 1)
     }
-
-    /// Fraction of served answers at full quality (1.0 when nothing
-    /// served — an idle tenant is not a degraded tenant).
-    pub fn full_fraction(&self) -> f64 {
-        let total = self.served_total();
-        if total == 0 {
-            return 1.0;
+    for (reason, &n) in REASON_LABELS.iter().zip(&snap.degrade_reasons) {
+        if n > 0 {
+            line("degraded_total", &format!(",reason=\"{reason}\""), n);
         }
-        self.served_at(Quality::Full) as f64 / total as f64
     }
+    line("estimates_cached_total", "", snap.query_cache_hits);
+    line("sheds_total", "", snap.sheds);
+    line("quarantines_total", "", snap.quarantines);
+    line("ingest_epoch", "", snap.max_epoch);
+    for (q, name) in [(0.50, "0.5"), (0.99, "0.99"), (0.999, "0.999")] {
+        let quantile = format!(",quantile=\"{name}\"");
+        line("latency_us", &quantile, snap.latency.quantile_us(q));
+    }
+}
 
-    /// Point-in-time copy of every counter, for reports and assertions.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let width_count = self.width_count.load(RELAXED);
-        let sheds = self.sheds.load(RELAXED);
-        MetricsSnapshot {
+/// Per-rung counts inside a [`StatsResponse`], worst rung first.
+#[derive(serde::Serialize)]
+struct RungCounts {
+    rung: &'static str,
+    attempted: u64,
+    answered: u64,
+    served: u64,
+}
+
+/// Per-degrade-reason count inside a [`StatsResponse`].
+#[derive(serde::Serialize)]
+struct ReasonCount {
+    reason: &'static str,
+    count: u64,
+}
+
+/// Wire shape of `GET /v1/<tenant>/stats`: the snapshot's counters, with
+/// retry hints in milliseconds, bound widths as ratios and latency as
+/// conservative quantiles in microseconds.
+#[derive(serde::Serialize)]
+pub(crate) struct StatsResponse {
+    rungs: Vec<RungCounts>,
+    degraded: Vec<ReasonCount>,
+    served_total: u64,
+    cached: u64,
+    full_fraction: f64,
+    sheds: u64,
+    shed_retry_ms_mean: f64,
+    shed_retry_ms_max: f64,
+    quarantines: u64,
+    bound_width_mean: f64,
+    bound_width_max: f64,
+    max_epoch: u64,
+    p50_us: u64,
+    p99_us: u64,
+    p999_us: u64,
+}
+
+impl StatsResponse {
+    pub(crate) fn new(snap: &ServiceStatsSnapshot) -> Self {
+        let mean = |sum: u64, n: u64| if n == 0 { 0.0 } else { sum as f64 / n as f64 };
+        StatsResponse {
             rungs: Quality::ALL
                 .iter()
                 .enumerate()
                 .map(|(i, q)| RungCounts {
-                    rung: q.label().to_string(),
-                    attempted: self.attempted[i].load(RELAXED),
-                    answered: self.answered[i].load(RELAXED),
-                    served: self.served[i].load(RELAXED),
+                    rung: q.label(),
+                    attempted: snap.rung_attempted[i],
+                    answered: snap.rung_answered[i],
+                    served: snap.quality_counts[i],
                 })
                 .collect(),
             degraded: REASON_LABELS
                 .iter()
-                .enumerate()
-                .map(|(i, label)| ReasonCount {
-                    reason: label.to_string(),
-                    count: self.degraded[i].load(RELAXED),
-                })
+                .zip(&snap.degrade_reasons)
+                .map(|(&reason, &count)| ReasonCount { reason, count })
                 .collect(),
-            served_total: self.served_total(),
-            cached: self.cached.load(RELAXED),
-            full_fraction: self.full_fraction(),
-            sheds,
-            shed_retry_ms_mean: if sheds == 0 {
-                0.0
-            } else {
-                self.shed_retry_ns_sum.load(RELAXED) as f64 / sheds as f64 / 1e6
-            },
-            shed_retry_ms_max: self.shed_retry_ns_max.load(RELAXED) as f64 / 1e6,
-            quarantines: self.quarantines.load(RELAXED),
-            bound_width_mean: if width_count == 0 {
-                0.0
-            } else {
-                self.width_sum_milli.load(RELAXED) as f64 / width_count as f64 / 1000.0
-            },
-            bound_width_max: self.width_max_milli.load(RELAXED) as f64 / 1000.0,
-            max_epoch: self.max_epoch.load(RELAXED),
-            p50_us: self.latency_quantile_us(0.50),
-            p99_us: self.latency_quantile_us(0.99),
-            p999_us: self.latency_quantile_us(0.999),
+            served_total: snap.estimates,
+            cached: snap.query_cache_hits,
+            full_fraction: snap.full_fraction(),
+            sheds: snap.sheds,
+            shed_retry_ms_mean: mean(snap.shed_retry_ns_sum, snap.sheds) / 1e6,
+            shed_retry_ms_max: snap.shed_retry_ns_max as f64 / 1e6,
+            quarantines: snap.quarantines,
+            bound_width_mean: mean(snap.bound_width_sum_milli, snap.bound_widths) / 1000.0,
+            bound_width_max: snap.bound_width_max_milli as f64 / 1000.0,
+            max_epoch: snap.max_epoch,
+            p50_us: snap.latency.quantile_us(0.50),
+            p99_us: snap.latency.quantile_us(0.99),
+            p999_us: snap.latency.quantile_us(0.999),
         }
     }
-
-    /// Prometheus-style text exposition for this tenant, one line per
-    /// series, all labeled `tenant="<name>"`.
-    pub fn render(&self, tenant: &str, out: &mut String) {
-        use std::fmt::Write;
-        for (i, q) in Quality::ALL.iter().enumerate() {
-            let (a, ans, s) = (
-                self.attempted[i].load(RELAXED),
-                self.answered[i].load(RELAXED),
-                self.served[i].load(RELAXED),
-            );
-            if a + ans + s > 0 {
-                let rung = q.label();
-                let _ = writeln!(
-                    out,
-                    "sqe_rung_attempted_total{{tenant=\"{tenant}\",rung=\"{rung}\"}} {a}"
-                );
-                let _ = writeln!(
-                    out,
-                    "sqe_rung_answered_total{{tenant=\"{tenant}\",rung=\"{rung}\"}} {ans}"
-                );
-                let _ = writeln!(
-                    out,
-                    "sqe_estimates_served_total{{tenant=\"{tenant}\",rung=\"{rung}\"}} {s}"
-                );
-            }
-        }
-        for (i, label) in REASON_LABELS.iter().enumerate() {
-            let n = self.degraded[i].load(RELAXED);
-            if n > 0 {
-                let _ = writeln!(
-                    out,
-                    "sqe_degraded_total{{tenant=\"{tenant}\",reason=\"{label}\"}} {n}"
-                );
-            }
-        }
-        let _ = writeln!(
-            out,
-            "sqe_estimates_cached_total{{tenant=\"{tenant}\"}} {}",
-            self.cached.load(RELAXED)
-        );
-        let _ = writeln!(
-            out,
-            "sqe_sheds_total{{tenant=\"{tenant}\"}} {}",
-            self.sheds.load(RELAXED)
-        );
-        let _ = writeln!(
-            out,
-            "sqe_quarantines_total{{tenant=\"{tenant}\"}} {}",
-            self.quarantines.load(RELAXED)
-        );
-        let _ = writeln!(
-            out,
-            "sqe_ingest_epoch{{tenant=\"{tenant}\"}} {}",
-            self.max_epoch.load(RELAXED)
-        );
-        for (q, name) in [(0.50, "0.5"), (0.99, "0.99"), (0.999, "0.999")] {
-            let _ = writeln!(
-                out,
-                "sqe_latency_us{{tenant=\"{tenant}\",quantile=\"{name}\"}} {}",
-                self.latency_quantile_us(q)
-            );
-        }
-    }
-}
-
-/// Per-rung counters inside a [`MetricsSnapshot`].
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct RungCounts {
-    /// Rung label (`Quality::label`).
-    pub rung: String,
-    /// Rungs the ladder tried.
-    pub attempted: u64,
-    /// Rungs that produced the answer.
-    pub answered: u64,
-    /// End-to-end estimates served at this rung.
-    pub served: u64,
-}
-
-/// Per-degrade-reason count inside a [`MetricsSnapshot`].
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct ReasonCount {
-    /// Reason label.
-    pub reason: String,
-    /// Degraded answers attributed to it.
-    pub count: u64,
-}
-
-/// Serializable point-in-time view of a tenant's [`TenantMetrics`].
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct MetricsSnapshot {
-    /// Per-rung attempt/answer/served counts, worst-to-best.
-    pub rungs: Vec<RungCounts>,
-    /// Degraded answers by reason.
-    pub degraded: Vec<ReasonCount>,
-    /// Total estimates served.
-    pub served_total: u64,
-    /// Estimates answered by the whole-query cache.
-    pub cached: u64,
-    /// Fraction of served answers at `full` quality.
-    pub full_fraction: f64,
-    /// Requests refused with a retry hint.
-    pub sheds: u64,
-    /// Mean retry hint across sheds, milliseconds.
-    pub shed_retry_ms_mean: f64,
-    /// Largest retry hint handed out, milliseconds.
-    pub shed_retry_ms_max: f64,
-    /// Cache quarantine events.
-    pub quarantines: u64,
-    /// Mean bound/estimate envelope ratio.
-    pub bound_width_mean: f64,
-    /// Widest bound/estimate envelope ratio.
-    pub bound_width_max: f64,
-    /// Highest catalog epoch observed by served answers.
-    pub max_epoch: u64,
-    /// Conservative latency quantiles, microseconds.
-    pub p50_us: u64,
-    /// 99th percentile latency, microseconds.
-    pub p99_us: u64,
-    /// 99.9th percentile latency, microseconds.
-    pub p999_us: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqe_core::{DegradeReason, MetricsSink};
+    use sqe_service::{CacheCounters, ServiceStats};
 
     #[test]
-    fn buckets_are_monotone_and_edges_cover_them() {
-        let mut prev = 0usize;
-        for us in 0..100_000u64 {
-            let b = bucket_of_us(us);
-            assert!(b >= prev, "bucket regressed at {us}µs");
-            assert!(us < upper_edge_us(b), "{us}µs ≥ edge of its bucket {b}");
-            // A bucket's upper edge overstates its smallest member by at
-            // most one sub-bucket width: 25% of the octave start, +1µs.
-            let edge = upper_edge_us(b) as f64;
-            assert!(edge <= us as f64 * 1.25 + 1.0, "edge {edge} vs {us}");
-            prev = b;
+    fn render_and_stats_read_the_service_snapshot() {
+        let s = ServiceStats::default();
+        s.rung_attempted(Quality::Full);
+        s.rung_answered(Quality::Full, None);
+        s.estimate_served(5_000, Quality::Full, false);
+        s.rung_answered(Quality::Greedy, Some(DegradeReason::WorkQuota));
+        for (hint, width) in [(1_000_000, 2.0), (3_000_000, 6.0)] {
+            s.shed(hint);
+            s.bound_width(width);
         }
-    }
-
-    #[test]
-    fn overflow_clamps_to_last_bucket() {
-        assert_eq!(bucket_of_us(u64::MAX), NUM_BUCKETS - 1);
-    }
-
-    #[test]
-    fn quantiles_are_conservative() {
-        let m = TenantMetrics::default();
-        for _ in 0..99 {
-            m.estimate_served(1_000, Quality::Full, false); // 1µs
-        }
-        m.estimate_served(1_000_000, Quality::Full, false); // 1ms
-        let p50 = m.latency_quantile_us(0.50);
-        assert!(p50 <= 2, "p50 {p50}µs");
-        let p999 = m.latency_quantile_us(0.999);
-        assert!((1000..=1300).contains(&p999), "p999 {p999}µs");
-        assert_eq!(m.latency_quantile_us(0.0), 2); // upper edge of 1µs bucket
-    }
-
-    #[test]
-    fn rung_mix_and_full_fraction() {
-        let m = TenantMetrics::default();
-        assert_eq!(m.full_fraction(), 1.0); // idle ≠ degraded
-        m.rung_attempted(Quality::Full);
-        m.rung_answered(Quality::Pruned, Some(DegradeReason::Deadline));
-        m.estimate_served(10_000, Quality::Pruned, false);
-        m.estimate_served(10_000, Quality::Full, true);
-        assert_eq!(m.served_total(), 2);
-        assert_eq!(m.served_at(Quality::Pruned), 1);
-        assert!((m.full_fraction() - 0.5).abs() < 1e-9);
-        let snap = m.snapshot();
-        assert_eq!(snap.cached, 1);
-        assert_eq!(snap.degraded[0].count, 1); // deadline
-    }
-
-    #[test]
-    fn sheds_and_epochs_aggregate() {
-        let m = TenantMetrics::default();
-        m.shed(4_000_000);
-        m.shed(2_000_000);
-        m.ingest_epoch_observed(3);
-        m.ingest_epoch_observed(1);
-        m.bound_width(2.0);
-        m.bound_width(6.0);
-        let snap = m.snapshot();
-        assert_eq!(snap.sheds, 2);
-        assert!((snap.shed_retry_ms_mean - 3.0).abs() < 1e-9);
-        assert!((snap.shed_retry_ms_max - 4.0).abs() < 1e-9);
-        assert_eq!(snap.max_epoch, 3);
-        assert!((snap.bound_width_mean - 4.0).abs() < 1e-9);
-        assert!((snap.bound_width_max - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn render_emits_labeled_series() {
-        let m = TenantMetrics::default();
-        m.rung_attempted(Quality::Full);
-        m.rung_answered(Quality::Full, None);
-        m.estimate_served(5_000, Quality::Full, false);
-        m.shed(1_000_000);
+        let snap = s.snapshot(CacheCounters::default());
         let mut out = String::new();
-        m.render("acme", &mut out);
-        assert!(out.contains("sqe_rung_answered_total{tenant=\"acme\",rung=\"full\"} 1"));
-        assert!(out.contains("sqe_sheds_total{tenant=\"acme\"} 1"));
-        assert!(out.contains("sqe_latency_us{tenant=\"acme\",quantile=\"0.99\"}"));
+        render("acme", &snap, &mut out);
+        for series in [
+            "sqe_rung_answered_total{tenant=\"acme\",rung=\"full\"} 1",
+            "sqe_rung_answered_total{tenant=\"acme\",rung=\"greedy\"} 1",
+            "sqe_degraded_total{tenant=\"acme\",reason=\"work_quota\"} 1",
+            "sqe_sheds_total{tenant=\"acme\"} 2",
+            "sqe_latency_us{tenant=\"acme\",quantile=\"0.99\"} 6",
+        ] {
+            assert!(out.contains(series), "{series} not in {out}");
+        }
+        assert!(!out.contains("rung=\"pruned\""), "idle rungs are left out");
+
+        let wire = StatsResponse::new(&snap);
+        assert_eq!((wire.served_total, wire.sheds), (1, 2));
+        let derived = [
+            wire.shed_retry_ms_mean,
+            wire.shed_retry_ms_max,
+            wire.bound_width_mean,
+            wire.bound_width_max,
+        ];
+        assert_eq!(derived, [2.0, 3.0, 4.0, 6.0]);
+        assert_eq!(wire.degraded[1].count, 1); // work_quota
     }
 }

@@ -43,7 +43,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
-use sqe_core::{Budget, DeltaConfig, LiveCatalog, MetricsSink, SitCatalog};
+use sqe_core::{Budget, DeltaConfig, LiveCatalog, SitCatalog};
 use sqe_engine::delta::DeltaBatch;
 use sqe_engine::{Database, Predicate, SpjQuery, TableId};
 use sqe_service::{
@@ -52,7 +52,7 @@ use sqe_service::{
 };
 
 use crate::http::{Request, Response};
-use crate::metrics::{MetricsSnapshot, TenantMetrics};
+use crate::metrics::{self, StatsResponse};
 use crate::quota::{QuotaConfig, TokenBucket};
 
 /// Everything needed to stand up one tenant.
@@ -105,14 +105,15 @@ pub enum DoorError {
     UnknownTenant(String),
 }
 
-/// One tenant: service + live catalog + quota + in-flight pool + metrics.
+/// One tenant: service + live catalog + quota + in-flight pool. The
+/// tenant's metrics are its service's: every request event, the sheds of
+/// the front door's own gates included, goes to the service's sink.
 pub struct Tenant {
     name: String,
     service: EstimationService,
     live: Mutex<LiveCatalog>,
     bucket: TokenBucket,
     admission: AdmissionControl,
-    metrics: Arc<TenantMetrics>,
     config: TenantConfig,
 }
 
@@ -122,14 +123,10 @@ impl Tenant {
         &self.name
     }
 
-    /// This tenant's estimation service (own snapshots and cache).
+    /// This tenant's estimation service (own snapshots, cache and
+    /// metrics: see [`EstimationService::stats`]).
     pub fn service(&self) -> &EstimationService {
         &self.service
-    }
-
-    /// This tenant's metrics sink.
-    pub fn metrics(&self) -> &Arc<TenantMetrics> {
-        &self.metrics
     }
 
     /// This tenant's token bucket.
@@ -158,11 +155,7 @@ impl Tenant {
     ) -> Result<Estimate, DoorError> {
         // Gate 1: quota. The bucket's hint is exact refill time.
         if let Err(wait) = self.bucket.try_take(now) {
-            self.metrics.shed(wait.as_nanos() as u64);
-            return Err(DoorError::Overloaded {
-                scope: ShedScope::Quota,
-                retry_after: wait,
-            });
+            return Err(self.shed(ShedScope::Quota, wait));
         }
         // Gate 2: the tenant's own concurrency bound. RAII permit — held
         // across the estimate, released on every exit path including
@@ -173,11 +166,7 @@ impl Tenant {
                 .note_shed()
                 .unwrap_or_else(|| self.config.quota.full_refill())
                 .min(self.retry_cap());
-            self.metrics.shed(wait.as_nanos() as u64);
-            return Err(DoorError::Overloaded {
-                scope: ShedScope::Tenant,
-                retry_after: wait,
-            });
+            return Err(self.shed(ShedScope::Tenant, wait));
         };
         // Chaos site: a panic *here* unwinds with the quota token spent
         // and the tenant permit held — the leak-regression suite pins
@@ -210,11 +199,7 @@ impl Tenant {
         now: Instant,
     ) -> Result<(sqe_core::IngestReport, PartialInstallOutcome), DoorError> {
         if let Err(wait) = self.bucket.try_take(now) {
-            self.metrics.shed(wait.as_nanos() as u64);
-            return Err(DoorError::Overloaded {
-                scope: ShedScope::Quota,
-                retry_after: wait,
-            });
+            return Err(self.shed(ShedScope::Quota, wait));
         }
         let mut live = self.live.lock();
         let report = live
@@ -227,6 +212,13 @@ impl Tenant {
             &report,
         );
         Ok((report, outcome))
+    }
+
+    /// Reports a refusal by one of the front door's own gates into the
+    /// service's sink (gate 3's sheds are the service's to report).
+    fn shed(&self, scope: ShedScope, retry_after: Duration) -> DoorError {
+        self.service.metrics().shed(retry_after.as_nanos() as u64);
+        DoorError::Overloaded { scope, retry_after }
     }
 }
 
@@ -262,17 +254,14 @@ impl FrontDoor {
         catalog: SitCatalog,
         config: TenantConfig,
     ) -> Arc<Tenant> {
-        let metrics = Arc::new(TenantMetrics::default());
         let service = EstimationService::new(Arc::new(db.clone()), catalog.clone(), config.service)
-            .with_shared_admission(Arc::clone(&self.global))
-            .with_metrics(Arc::clone(&metrics) as Arc<dyn MetricsSink>);
+            .with_shared_admission(Arc::clone(&self.global));
         let tenant = Arc::new(Tenant {
             name: name.to_string(),
             service,
             live: Mutex::new(LiveCatalog::new(db, catalog, config.delta)),
             bucket: TokenBucket::new(config.quota, Instant::now()),
             admission: AdmissionControl::new(config.quota.max_in_flight),
-            metrics,
             config,
         });
         self.tenants
@@ -365,8 +354,7 @@ impl FrontDoor {
         let Some(tenant) = self.tenant(name) else {
             return Response::json(404, err_body("unknown tenant", Some(name)));
         };
-        let snap: MetricsSnapshot = tenant.metrics.snapshot();
-        match serde_json::to_string(&snap) {
+        match serde_json::to_string(&StatsResponse::new(&tenant.service.stats())) {
             Ok(s) => Response::json(200, s),
             Err(e) => Response::json(500, err_body(&format!("encode: {e}"), None)),
         }
@@ -375,7 +363,7 @@ impl FrontDoor {
     fn render_metrics(&self) -> String {
         let mut out = String::new();
         for tenant in self.tenants() {
-            tenant.metrics.render(&tenant.name, &mut out);
+            metrics::render(&tenant.name, &tenant.service.stats(), &mut out);
         }
         use std::fmt::Write;
         let _ = writeln!(out, "sqe_global_in_flight {}", self.global.in_flight());

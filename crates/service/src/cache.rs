@@ -328,7 +328,7 @@ pub struct CarryStats {
 }
 
 /// Point-in-time cache counters (monotone, process lifetime).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Lookups that found an entry.
     pub hits: u64,

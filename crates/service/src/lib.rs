@@ -9,10 +9,13 @@
 //!   with an `Arc` and are never blocked or invalidated by a concurrent
 //!   pool rebuild;
 //! * [`EstimationService`] — [`EstimationService::estimate`] /
-//!   [`EstimationService::estimate_batch`] construct per-query
-//!   [`sqe_core::SelectivityEstimator`]s against the current snapshot,
-//!   backed by a [`ShardedCache`] that reuses per-link conditional factors
-//!   and SIT join products across queries and threads;
+//!   [`EstimationService::estimate_batch`] and their budgeted siblings
+//!   answer against the current snapshot through one path: a whole-query
+//!   cache probe, then the degradation [`sqe_core::Ladder`] (an unlimited
+//!   budget takes its meter-free fast path, a plain
+//!   [`sqe_core::SelectivityEstimator`] run), backed by a [`ShardedCache`]
+//!   that reuses per-link conditional factors and SIT join products
+//!   across queries and threads;
 //! * [`ShardedCache`] — N shards of `parking_lot::Mutex` around bounded
 //!   LRU maps, keyed by canonicalized
 //!   `(predicate-set, conditioning-set, error-mode)` fingerprints
@@ -22,8 +25,11 @@
 //!   open-addressed index over the shard's entries. Keys are stored and
 //!   compared in full, so no fingerprint alone decides a hit, and every
 //!   map evicts in exact least-recently-used order;
-//! * [`ServiceStatsSnapshot`] — atomic counters and a power-of-two latency
-//!   histogram for monitoring.
+//! * [`ServiceStats`] — the one metrics aggregator: a [`MetricsSink`]
+//!   every request event goes to (rung attempts, answers and served
+//!   estimates, sheds, quarantines, bound widths, epochs, installs and
+//!   ingest), with the log-linear [`sqe_core::LatencyHistogram`];
+//!   [`ServiceStatsSnapshot`] is its point-in-time copy.
 //!
 //! Correctness bar: concurrent estimates are **bit-identical** to a fresh
 //! single-threaded estimator over the same catalog — the cache only stores
@@ -47,7 +53,7 @@ pub use sqe_core::{
     BackendKind, BoundSketch, Budget, CancelToken, DegradeReason, DpStrategy, MetricsSink,
     NullSink, Quality, SelectivityBackend,
 };
-pub use stats::{IngestCounters, ServiceStatsSnapshot, LATENCY_BUCKETS, QUALITY_TIERS};
+pub use stats::{IngestCounters, ServiceStats, ServiceStatsSnapshot, QUALITY_TIERS};
 
 /// The whole point of the crate: everything shared is thread-safe.
 #[allow(dead_code)]
@@ -56,5 +62,6 @@ fn static_assertions() {
     assert_send_sync::<EstimationService>();
     assert_send_sync::<CatalogSnapshot>();
     assert_send_sync::<ShardedCache>();
+    assert_send_sync::<ServiceStats>();
     assert_send_sync::<ServiceStatsSnapshot>();
 }

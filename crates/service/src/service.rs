@@ -11,8 +11,7 @@ use parking_lot::RwLock;
 use sqe_core::{
     build_pool_threaded, BackendKind, BeamConfig, BnBackend, BnCatalog, BoundSketch, Budget,
     CacheKey, DegradeReason, DiffBackend, DpStrategy, ErrorMode, IngestReport, Ladder, MetricsSink,
-    NullSink, PessimisticBackend, PoolSpec, Quality, SelectivityBackend, SelectivityEstimator,
-    Sit2Catalog, SitCatalog, SitOptions,
+    PessimisticBackend, PoolSpec, Quality, SelectivityBackend, Sit2Catalog, SitCatalog, SitOptions,
 };
 use sqe_engine::{Database, Result as EngineResult, SpjQuery};
 
@@ -20,23 +19,26 @@ use crate::admission::AdmissionControl;
 use crate::cache::ShardedCache;
 use crate::stats::{ServiceStats, ServiceStatsSnapshot};
 
+/// Shard count of every snapshot's cross-query cache.
+const CACHE_SHARDS: usize = 16;
+
+/// Bound on each per-shard map of that cache (links, queries, joins and
+/// `H3` each hold at most this many entries per shard).
+const CACHE_CAPACITY_PER_SHARD: usize = 4096;
+
+/// The deadline [`EstimationService::default_budget`] hands out: the
+/// latency envelope a budgeted request is expected to answer within — by
+/// degrading, never by erroring. Wide queries routed to the beam engine
+/// are tuned (width 8, see `BENCH_estimator.json`'s wide-`n` rows) to fit
+/// a 32-predicate estimate inside it on a single core.
+const DEFAULT_DEADLINE: Duration = Duration::from_millis(250);
+
 /// Configuration of an [`EstimationService`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
     /// Error mode every estimator runs under (part of every cache key, but
     /// fixed per service so concurrent estimates are comparable).
     pub mode: ErrorMode,
-    /// Shard count of the cross-query cache (rounded up to a power of two).
-    pub cache_shards: usize,
-    /// Bound on each per-shard map (links, queries, joins, `H3` each hold
-    /// at most this many entries per shard).
-    pub cache_capacity_per_shard: usize,
-    /// Threads for [`EstimationService::rebuild_pool`]; `None` uses
-    /// [`std::thread::available_parallelism`].
-    pub build_threads: Option<NonZeroUsize>,
-    /// Enables §3.4 SIT-driven pruning on every estimator. Part of the
-    /// estimator configuration, so it must be uniform across a cache.
-    pub sit_driven_pruning: bool,
     /// Subset-lattice DP engine every estimator runs on. All strategies are
     /// bit-identical, so mixing them across a shared cache is safe — this
     /// knob exists for memory control and engine benchmarking.
@@ -57,13 +59,6 @@ pub struct ServiceConfig {
     /// query's width to the beam — under the default `Auto`, every query
     /// wider than 20 predicates.
     pub beam: BeamConfig,
-    /// The service-level deadline [`EstimationService::default_budget`]
-    /// hands out: the latency envelope a budgeted request is expected to
-    /// answer within — by degrading, never by erroring. Wide queries
-    /// routed to the beam engine are tuned (width 8, see
-    /// `BENCH_estimator.json`'s wide-`n` rows) to fit a 32-predicate
-    /// estimate inside this deadline on a single core.
-    pub default_deadline: Duration,
     /// Which [`SelectivityBackend`] every estimator runs with (see the
     /// backend-selection table in the README). `Diff` — the default —
     /// keeps the paper's maxDiff/`diff` machinery and is bit-identical to
@@ -82,20 +77,14 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             mode: ErrorMode::Diff,
-            cache_shards: 16,
-            cache_capacity_per_shard: 4096,
-            build_threads: None,
-            sit_driven_pruning: false,
             dp_strategy: DpStrategy::Auto,
             batch_threads: None,
             max_in_flight: 64,
             beam: BeamConfig::default(),
-            default_deadline: Duration::from_millis(250),
             backend: BackendKind::Diff,
         }
     }
 }
-
 /// Why a budgeted request was not served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceError {
@@ -188,6 +177,21 @@ impl CatalogSnapshot {
     pub fn backend(&self) -> &dyn SelectivityBackend {
         &*self.backend
     }
+
+    /// The next snapshot over the same database: new catalogs, a cold
+    /// cache, the next epoch. The data-derived backend state carries over
+    /// by reference — no rescan.
+    fn successor(&self, sits: SitCatalog, sit2: Option<Sit2Catalog>) -> CatalogSnapshot {
+        CatalogSnapshot {
+            db: Arc::clone(&self.db),
+            sits,
+            sit2,
+            cache: ShardedCache::new(CACHE_SHARDS, CACHE_CAPACITY_PER_SHARD),
+            epoch: self.epoch + 1,
+            bound: Arc::clone(&self.bound),
+            backend: Arc::clone(&self.backend),
+        }
+    }
 }
 
 /// Per-snapshot backend state: the always-on bound sketch plus the
@@ -272,23 +276,28 @@ pub struct Estimate {
 /// [`EstimationService::install`] / [`EstimationService::rebuild_pool`]
 /// atomically swap in a fresh snapshot without blocking readers mid-query.
 /// Estimates are bit-identical to running a fresh single-threaded
-/// [`SelectivityEstimator`] against the same catalog: the shared cache only
-/// stores values that are pure functions of `(predicates, conditioning set,
-/// mode, snapshot)`.
+/// [`sqe_core::SelectivityEstimator`] against the same catalog: the shared
+/// cache only stores values that are pure functions of `(predicates,
+/// conditioning set, mode, snapshot)`.
+///
+/// Every estimate — budgeted or not — takes one path: a whole-query cache
+/// probe, then the [`Ladder`] (whose unlimited-budget fast path runs the
+/// estimator directly), and one report to the service's [`MetricsSink`].
 pub struct EstimationService {
     config: ServiceConfig,
     /// The database lives inside each snapshot (not on the service):
     /// partial installs can evolve it, and a reader's estimates must be
     /// consistent with the database its catalog was built against.
     current: RwLock<Arc<CatalogSnapshot>>,
-    stats: ServiceStats,
+    /// The service's own aggregator: what [`EstimationService::stats`]
+    /// reports, and the sink unless [`EstimationService::with_metrics`]
+    /// replaces it.
+    stats: Arc<ServiceStats>,
     /// Shared so several services (one per tenant behind a front door)
     /// can draw on one process-wide in-flight budget — see
     /// [`EstimationService::with_shared_admission`].
     admission: Arc<AdmissionControl>,
-    /// Per-request observer (rung mix, sheds, quarantines, bound width,
-    /// ingest epochs). [`NullSink`] — free — unless a front end installs
-    /// a real one via [`EstimationService::with_metrics`].
+    /// The one observer every request event goes to.
     metrics: Arc<dyn MetricsSink>,
 }
 
@@ -303,17 +312,18 @@ impl EstimationService {
             db,
             sits: catalog,
             sit2: None,
-            cache: ShardedCache::new(config.cache_shards, config.cache_capacity_per_shard),
+            cache: ShardedCache::new(CACHE_SHARDS, CACHE_CAPACITY_PER_SHARD),
             epoch: 0,
             bound,
             backend,
         });
+        let stats = Arc::new(ServiceStats::default());
         EstimationService {
             config,
             current: RwLock::new(snapshot),
-            stats: ServiceStats::default(),
+            metrics: Arc::clone(&stats) as Arc<dyn MetricsSink>,
+            stats,
             admission: Arc::new(AdmissionControl::new(config.max_in_flight)),
-            metrics: Arc::new(NullSink),
         }
     }
 
@@ -330,15 +340,25 @@ impl EstimationService {
         self
     }
 
-    /// Installs a [`MetricsSink`] observing every request: per-rung
-    /// attempts and answers (threaded into the core [`Ladder`]), served
-    /// estimates with latency and quality, sheds with their retry hints,
-    /// quarantines, bound widths, and observed ingest epochs. Sinks only
-    /// observe — answers are bit-identical with or without one. Call
+    /// Replaces the service's sink with `sink`, which then observes every
+    /// request: per-rung attempts and answers (threaded into the core
+    /// [`Ladder`]), served estimates with latency and quality, sheds with
+    /// their retry hints, quarantines, bound widths, observed ingest
+    /// epochs, batches and installs. Sinks only observe — answers are
+    /// bit-identical with or without one. The service's own
+    /// [`ServiceStats`] then receives nothing, so
+    /// [`EstimationService::stats`] sees only the cache counters. Call
     /// before serving traffic.
     pub fn with_metrics(mut self, sink: Arc<dyn MetricsSink>) -> Self {
         self.metrics = sink;
         self
+    }
+
+    /// The sink every request event of this service goes to — by default
+    /// the service's own [`ServiceStats`]. A front end reports the
+    /// requests it refuses before they reach the service here.
+    pub fn metrics(&self) -> &dyn MetricsSink {
+        &*self.metrics
     }
 
     /// The admission pool this service draws budgeted permits from.
@@ -370,23 +390,9 @@ impl EstimationService {
     pub fn install(&self, catalog: SitCatalog, sit2: Option<Sit2Catalog>) {
         sqe_core::failpoint::fire("service::install");
         let mut current = self.current.write();
-        // The database is unchanged, so the data-derived backend state
-        // carries over by reference — no rescan.
-        let snapshot = Arc::new(CatalogSnapshot {
-            db: Arc::clone(&current.db),
-            sits: catalog,
-            sit2,
-            cache: ShardedCache::new(
-                self.config.cache_shards,
-                self.config.cache_capacity_per_shard,
-            ),
-            epoch: current.epoch + 1,
-            bound: Arc::clone(&current.bound),
-            backend: Arc::clone(&current.backend),
-        });
-        *current = snapshot;
+        *current = Arc::new(current.successor(catalog, sit2));
         drop(current);
-        self.stats.record_install();
+        self.metrics.install();
     }
 
     /// Publishes a delta-ingested catalog as an **epoch-tagged partial
@@ -423,8 +429,8 @@ impl EstimationService {
         let (bound, backend) = backend_state(&db, self.config.backend);
         let mut current = self.current.write();
         let (cache, carry) = ShardedCache::carry_from(
-            self.config.cache_shards,
-            self.config.cache_capacity_per_shard,
+            CACHE_SHARDS,
+            CACHE_CAPACITY_PER_SHARD,
             &current.cache,
             &report.tables_touched,
             &stale_sits,
@@ -440,7 +446,7 @@ impl EstimationService {
             backend,
         });
         drop(current);
-        self.stats.record_partial_install(
+        self.metrics.partial_install(
             report.ops_applied as u64,
             report.sits_refreshed.len() as u64,
             carry.carried,
@@ -453,8 +459,8 @@ impl EstimationService {
         }
     }
 
-    /// Builds the `J_i` SIT pool for `workload` on this service's build
-    /// threads (parallel across SIT expressions) and installs it as the new
+    /// Builds the `J_i` SIT pool for `workload` on one thread per host CPU
+    /// (parallel across SIT expressions) and installs it as the new
     /// snapshot. Readers are never blocked: the build runs outside any
     /// lock, and the final swap is [`EstimationService::install`].
     pub fn rebuild_pool(
@@ -463,9 +469,8 @@ impl EstimationService {
         spec: PoolSpec,
         opts: SitOptions,
     ) -> EngineResult<()> {
-        let threads = self.config.build_threads.unwrap_or_else(|| {
-            std::thread::available_parallelism().unwrap_or(NonZeroUsize::new(1).expect("non-zero"))
-        });
+        let threads =
+            std::thread::available_parallelism().unwrap_or(NonZeroUsize::new(1).expect("non-zero"));
         // Build against the database of the *current* snapshot (partial
         // installs may have evolved it past the one the service started
         // with). A partial install racing the build wins the data race
@@ -478,10 +483,14 @@ impl EstimationService {
         Ok(())
     }
 
-    /// Estimates one query against the current snapshot.
+    /// Estimates one query against the current snapshot: the path of
+    /// [`EstimationService::estimate_with_budget`] under
+    /// [`Budget::unlimited`], without its admission permit or panic
+    /// isolation. The answer is [`Quality::Full`] — or [`Quality::Beam`]
+    /// for beam-routed widths — and reports one attempt and one answer at
+    /// that rung to the sink.
     pub fn estimate(&self, query: &SpjQuery) -> Estimate {
-        let snapshot = self.snapshot();
-        self.estimate_on(&snapshot, query)
+        self.estimate_in(&self.snapshot(), query, &Budget::unlimited())
     }
 
     /// Estimates a batch against one consistent snapshot: every query in
@@ -497,22 +506,38 @@ impl EstimationService {
     /// estimates are pure functions of `(query, snapshot)` and the shared
     /// cache only memoizes such values. The sole scheduling-dependent field
     /// is the [`Estimate::cached`] flag (two workers can race the same
-    /// whole-query key and both compute it). Per-query latency stats are
-    /// recorded from the workers as usual.
+    /// whole-query key and both compute it). Per-query metrics are
+    /// reported from the workers as usual.
     pub fn estimate_batch(&self, queries: &[SpjQuery]) -> Vec<Estimate> {
-        self.stats.record_batch();
+        self.metrics.batch();
         let snapshot = self.snapshot();
-        let workers = self.batch_workers(queries.len());
+        let unlimited = Budget::unlimited();
+        self.fan_out(queries, |q| self.estimate_in(&snapshot, q, &unlimited))
+    }
+
+    /// Runs `each` over `queries` on up to [`ServiceConfig::batch_threads`]
+    /// scoped workers (default: host parallelism, never more than one
+    /// worker per query) and returns the answers in input order.
+    fn fan_out(
+        &self,
+        queries: &[SpjQuery],
+        each: impl Fn(&SpjQuery) -> Estimate + Sync,
+    ) -> Vec<Estimate> {
+        let workers = self
+            .config
+            .batch_threads
+            .map_or_else(
+                || std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+                NonZeroUsize::get,
+            )
+            .min(queries.len());
         if workers < 2 {
-            return queries
-                .iter()
-                .map(|q| self.estimate_on(&snapshot, q))
-                .collect();
+            return queries.iter().map(each).collect();
         }
         let slots: Vec<Mutex<Option<Estimate>>> =
             queries.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        let (snapshot, next, slots) = (&snapshot, &next, &slots);
+        let (each, next, slots) = (&each, &next, &slots);
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(move || loop {
@@ -520,7 +545,7 @@ impl EstimationService {
                     if idx >= queries.len() {
                         break;
                     }
-                    let e = self.estimate_on(snapshot, &queries[idx]);
+                    let e = each(&queries[idx]);
                     *slots[idx].lock().expect("estimate slot poisoned") = Some(e);
                 });
             }
@@ -535,99 +560,20 @@ impl EstimationService {
             .collect()
     }
 
-    /// Worker count for a batch: the configured `batch_threads` (default:
-    /// host parallelism), never more than one worker per query.
-    fn batch_workers(&self, queries: usize) -> usize {
-        let configured = self.config.batch_threads.map_or_else(
-            || std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
-            NonZeroUsize::get,
-        );
-        configured.min(queries).max(1)
-    }
-
     /// Service metrics, including the current snapshot's cache counters.
+    /// Request counters stay zero once [`EstimationService::with_metrics`]
+    /// has replaced the service's own sink.
     pub fn stats(&self) -> ServiceStatsSnapshot {
         self.stats.snapshot(self.snapshot().cache.counters())
     }
 
     /// The budget a caller with no latency requirements of its own should
-    /// use: unlimited work, capped by [`ServiceConfig::default_deadline`].
-    /// Under it a seeded 32-predicate query answers with a
-    /// [`Quality::Beam`] label on a single core (the `tests/beam.rs`
-    /// acceptance bar); narrower queries answer `Full` as before.
+    /// use: unlimited work, capped by a 250 ms deadline. Under it a seeded
+    /// 32-predicate query answers with a [`Quality::Beam`] label on a
+    /// single core (the `tests/beam.rs` acceptance bar); narrower queries
+    /// answer `Full` as before.
     pub fn default_budget(&self) -> Budget {
-        Budget::unlimited().with_deadline(self.config.default_deadline)
-    }
-
-    fn estimate_on(&self, snapshot: &CatalogSnapshot, query: &SpjQuery) -> Estimate {
-        let start = Instant::now();
-        // Queries the strategy routes to the beam engine get approximate
-        // answers, which must never enter the whole-query cache (only
-        // exact `Full` answers are cached — the invariant budgeted cache
-        // hits rely on) and are labeled honestly.
-        let routed = self.config.dp_strategy.use_beam(query.predicates.len());
-        let key = (!routed).then(|| CacheKey::query(self.config.mode, &query.predicates));
-        let hit = key.as_ref().and_then(|k| snapshot.cache.get_query(k));
-        let (result, cached) = match hit {
-            Some(hit) => (hit, true),
-            None => {
-                let mut est = SelectivityEstimator::new(
-                    &snapshot.db,
-                    query,
-                    &snapshot.sits,
-                    self.config.mode,
-                )
-                .with_strategy(self.config.dp_strategy)
-                .with_beam_config(self.config.beam)
-                .with_backend(Arc::clone(&snapshot.backend));
-                if !routed {
-                    // Beam-routed widths skip the link cache too: the
-                    // bounded walk recomputes less than the per-link
-                    // round-trips cost (see `Ladder::build_estimator_as`).
-                    est = est.with_shared_cache(&snapshot.cache);
-                }
-                if let Some(sit2) = &snapshot.sit2 {
-                    est = est.with_sit2_catalog(sit2);
-                }
-                if self.config.sit_driven_pruning {
-                    est = est.with_sit_driven_pruning();
-                }
-                let all = est.context().all();
-                let result = est.get_selectivity(all);
-                if let Some(key) = key {
-                    snapshot.cache.put_query(key, result);
-                }
-                (result, false)
-            }
-        };
-        let latency = start.elapsed();
-        self.stats.record_estimate(latency, cached);
-        let estimate = Estimate {
-            selectivity: result.0,
-            error: result.1,
-            cardinality: cardinality_of(snapshot, query, result.0),
-            epoch: snapshot.epoch,
-            cached,
-            quality: if routed { Quality::Beam } else { Quality::Full },
-            degraded_reason: None,
-            upper_bound: snapshot.bound.upper_bound(query),
-        };
-        self.observe(&estimate, latency);
-        estimate
-    }
-
-    /// Reports one served estimate to the installed [`MetricsSink`]:
-    /// latency + quality, the safety-envelope width when the bound is
-    /// known, and the snapshot epoch that answered.
-    fn observe(&self, e: &Estimate, latency: Duration) {
-        self.metrics
-            .estimate_served(latency.as_nanos() as u64, e.quality, e.cached);
-        if let Some(bound) = e.upper_bound {
-            if bound.is_finite() && e.cardinality.is_finite() {
-                self.metrics.bound_width(bound / e.cardinality.max(1.0));
-            }
-        }
-        self.metrics.ingest_epoch_observed(e.epoch);
+        Budget::unlimited().with_deadline(DEFAULT_DEADLINE)
     }
 
     /// Estimates one query under a [`Budget`], degrading instead of
@@ -654,7 +600,7 @@ impl EstimationService {
             return Err(self.shed());
         };
         let snapshot = self.snapshot();
-        Ok(self.budgeted_guarded(&snapshot, query, budget))
+        Ok(self.estimate_guarded(&snapshot, query, budget))
     }
 
     /// Budgeted sibling of [`EstimationService::estimate_batch`]: one
@@ -673,48 +619,17 @@ impl EstimationService {
         let Some(_permit) = self.admission.try_acquire() else {
             return Err(self.shed());
         };
-        self.stats.record_batch();
+        self.metrics.batch();
         let snapshot = self.snapshot();
-        let workers = self.batch_workers(queries.len());
-        if workers < 2 {
-            return Ok(queries
-                .iter()
-                .map(|q| self.budgeted_guarded(&snapshot, q, budget))
-                .collect());
-        }
-        let slots: Vec<Mutex<Option<Estimate>>> =
-            queries.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let (snapshot, next, slots) = (&snapshot, &next, &slots);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(move || loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= queries.len() {
-                        break;
-                    }
-                    let e = self.budgeted_guarded(snapshot, &queries[idx], budget);
-                    *slots[idx].lock().expect("estimate slot poisoned") = Some(e);
-                });
-            }
-        });
-        Ok(slots
-            .iter()
-            .map(|slot| {
-                slot.lock()
-                    .expect("estimate slot poisoned")
-                    .expect("every batch index claimed by exactly one worker")
-            })
-            .collect())
+        Ok(self.fan_out(queries, |q| self.estimate_guarded(&snapshot, q, budget)))
     }
 
-    /// Records a shed and builds the `Overloaded` error with its
+    /// Reports a shed and builds the `Overloaded` error with its
     /// retry-after hint: permit-release telemetry (EWMA hold time scaled
     /// by queued demand — see [`AdmissionControl::retry_hint`]) when any
     /// permit has completed, the mean estimate latency before that, both
     /// clamped to [1 ms, 1 s].
     fn shed(&self) -> ServiceError {
-        self.stats.record_shed();
         let retry_after = self
             .admission
             .note_shed()
@@ -730,7 +645,7 @@ impl EstimationService {
     /// Runs one budgeted estimate with panic isolation: a panic anywhere
     /// in the estimator is caught here, the snapshot recovered, and the
     /// request answered from the independence floor.
-    fn budgeted_guarded(
+    fn estimate_guarded(
         &self,
         snapshot: &CatalogSnapshot,
         query: &SpjQuery,
@@ -738,7 +653,7 @@ impl EstimationService {
     ) -> Estimate {
         let start = Instant::now();
         match catch_unwind(AssertUnwindSafe(|| {
-            self.budgeted_on(snapshot, query, budget)
+            self.estimate_in(snapshot, query, budget)
         })) {
             Ok(e) => e,
             Err(_) => {
@@ -748,21 +663,9 @@ impl EstimationService {
                     &snapshot.sits,
                     query,
                 );
-                let latency = start.elapsed();
-                self.stats.record_estimate(latency, false);
-                self.stats.record_quality(
-                    Quality::Independence,
-                    Some(DegradeReason::Panic),
-                    latency,
-                );
                 self.metrics
                     .rung_answered(Quality::Independence, Some(DegradeReason::Panic));
-                self.metrics.estimate_served(
-                    latency.as_nanos() as u64,
-                    Quality::Independence,
-                    false,
-                );
-                Estimate {
+                let estimate = Estimate {
                     selectivity,
                     error: f64::INFINITY,
                     cardinality: cardinality_of(snapshot, query, selectivity),
@@ -774,20 +677,30 @@ impl EstimationService {
                     // chaos suite arms exactly that), so no backend code —
                     // including the bound sketch — runs on this path.
                     upper_bound: None,
-                }
+                };
+                self.observe(&estimate, start.elapsed());
+                estimate
             }
         }
     }
 
-    fn budgeted_on(
+    /// The one estimate path. Probes the whole-query cache (unless the
+    /// strategy routes the query to the beam engine: approximate answers
+    /// never enter that cache, which holds exact `Full` answers only — the
+    /// invariant a budgeted hit relies on), runs the [`Ladder`] on a miss,
+    /// caches a `Full` answer, and reports the finished [`Estimate`],
+    /// upper bound included, once.
+    fn estimate_in(
         &self,
         snapshot: &CatalogSnapshot,
         query: &SpjQuery,
         budget: &Budget,
     ) -> Estimate {
         let start = Instant::now();
-        let key = CacheKey::query(self.config.mode, &query.predicates);
-        let (selectivity, error, quality, reason, cached) = match snapshot.cache.get_query(&key) {
+        let routed = self.config.dp_strategy.use_beam(query.predicates.len());
+        let key = (!routed).then(|| CacheKey::query(self.config.mode, &query.predicates));
+        let hit = key.as_ref().and_then(|k| snapshot.cache.get_query(k));
+        let (selectivity, error, quality, reason, cached) = match hit {
             // Only Full answers are ever inserted, so a hit *is* a Full
             // answer regardless of this request's budget.
             Some((s, e)) => (s, e, Quality::Full, None, true),
@@ -801,11 +714,8 @@ impl EstimationService {
                 if let Some(sit2) = &snapshot.sit2 {
                     ladder = ladder.with_sit2_catalog(sit2);
                 }
-                if self.config.sit_driven_pruning {
-                    ladder = ladder.with_sit_driven_pruning();
-                }
                 let b = ladder.estimate(query, budget);
-                if b.quality == Quality::Full {
+                if let (Some(key), Quality::Full) = (key, b.quality) {
                     let error = b.error.expect("full answers carry an error");
                     snapshot.cache.put_query(key, (b.selectivity, error));
                 }
@@ -818,9 +728,6 @@ impl EstimationService {
                 )
             }
         };
-        let latency = start.elapsed();
-        self.stats.record_estimate(latency, cached);
-        self.stats.record_quality(quality, reason, latency);
         let estimate = Estimate {
             selectivity,
             error,
@@ -831,8 +738,22 @@ impl EstimationService {
             degraded_reason: reason,
             upper_bound: snapshot.bound.upper_bound(query),
         };
-        self.observe(&estimate, latency);
+        self.observe(&estimate, start.elapsed());
         estimate
+    }
+
+    /// Reports one served estimate to the sink: latency + quality, the
+    /// safety-envelope width when the bound is known, and the snapshot
+    /// epoch that answered.
+    fn observe(&self, e: &Estimate, latency: Duration) {
+        self.metrics
+            .estimate_served(latency.as_nanos() as u64, e.quality, e.cached);
+        if let Some(bound) = e.upper_bound {
+            if bound.is_finite() && e.cardinality.is_finite() {
+                self.metrics.bound_width(bound / e.cardinality.max(1.0));
+            }
+        }
+        self.metrics.ingest_epoch_observed(e.epoch);
     }
 
     /// Recovery after a request panicked against `snapshot`: quarantine
@@ -844,27 +765,14 @@ impl EstimationService {
     /// and return.
     fn recover_after_panic(&self, snapshot: &CatalogSnapshot) {
         snapshot.cache.quarantine();
-        self.stats.record_quarantine();
         self.metrics.quarantine();
         let mut current = self.current.write();
         if current.epoch != snapshot.epoch {
             return;
         }
-        let replacement = Arc::new(CatalogSnapshot {
-            db: Arc::clone(&snapshot.db),
-            sits: snapshot.sits.clone(),
-            sit2: snapshot.sit2.clone(),
-            cache: ShardedCache::new(
-                self.config.cache_shards,
-                self.config.cache_capacity_per_shard,
-            ),
-            epoch: current.epoch + 1,
-            bound: Arc::clone(&snapshot.bound),
-            backend: Arc::clone(&snapshot.backend),
-        });
-        *current = replacement;
+        *current = Arc::new(snapshot.successor(snapshot.sits.clone(), snapshot.sit2.clone()));
         drop(current);
-        self.stats.record_install();
+        self.metrics.install();
     }
 }
 
@@ -879,6 +787,7 @@ fn cardinality_of(snapshot: &CatalogSnapshot, query: &SpjQuery, selectivity: f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqe_core::SelectivityEstimator;
     use sqe_engine::table::TableBuilder;
     use sqe_engine::{CmpOp, ColRef, Predicate, TableId};
 
@@ -911,6 +820,17 @@ mod tests {
 
     fn query(v: i64) -> SpjQuery {
         SpjQuery::from_predicates(vec![join(), filter(v)]).unwrap()
+    }
+
+    /// The join plus 21 distinct range filters: 22 predicates, which the
+    /// default `Auto` strategy routes to the beam engine.
+    fn wide_query() -> SpjQuery {
+        let mut predicates = vec![join()];
+        for k in 0..21i64 {
+            let col = ColRef::new(TableId((k % 2) as u32), (k / 2 % 2) as u16);
+            predicates.push(Predicate::range(col, -k, 60 + k));
+        }
+        SpjQuery::from_predicates(predicates).unwrap()
     }
 
     fn service(db: &Arc<Database>) -> EstimationService {
@@ -1090,6 +1010,16 @@ mod tests {
         assert_eq!(budgeted.selectivity.to_bits(), plain.selectivity.to_bits());
         assert_eq!(budgeted.error.to_bits(), plain.error.to_bits());
         assert_eq!(svc2.stats().quality_count(Quality::Full), 1);
+
+        // A beam-routed width: both endpoints agree on every field.
+        let wide = wide_query();
+        let plain = svc.estimate(&wide);
+        let budgeted = svc2
+            .estimate_with_budget(&wide, &Budget::unlimited())
+            .expect("admitted");
+        assert_eq!(plain.quality, Quality::Beam);
+        assert_eq!(budgeted, plain);
+        assert_eq!(budgeted.selectivity.to_bits(), plain.selectivity.to_bits());
     }
 
     #[test]

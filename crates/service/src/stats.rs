@@ -1,21 +1,20 @@
-//! Service-level metrics: relaxed atomic counters plus a power-of-two
-//! latency histogram, cheap enough to update on every estimate.
+//! Service-level metrics: [`ServiceStats`], the one aggregating
+//! [`MetricsSink`] — relaxed atomic counters plus the log-linear
+//! [`LatencyHistogram`], cheap enough to update on every estimate — and
+//! its point-in-time copy, [`ServiceStatsSnapshot`].
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use sqe_core::{DegradeReason, Quality};
+use sqe_core::{DegradeReason, LatencyHistogram, LatencySnapshot, MetricsSink, Quality};
 
 use crate::cache::CacheCounters;
 
-/// Number of latency buckets. Bucket `i` counts estimates with latency in
-/// `[2^(i-1), 2^i)` microseconds (bucket 0 is `< 1 µs`); the last bucket
-/// absorbs everything slower.
-pub const LATENCY_BUCKETS: usize = 16;
-
 /// Number of quality tiers ([`Quality::ALL`]).
 pub const QUALITY_TIERS: usize = Quality::ALL.len();
+
+const RELAXED: Ordering = Ordering::Relaxed;
 
 /// Index of a tier in the per-quality arrays (worst-to-best order).
 fn quality_idx(q: Quality) -> usize {
@@ -35,153 +34,153 @@ fn reason_idx(r: DegradeReason) -> usize {
     }
 }
 
-/// Internal mutable counters (all relaxed: monitoring, not coordination).
+/// Aggregates one service's request stream: every [`EstimationService`]
+/// reports into its own `ServiceStats` unless
+/// [`EstimationService::with_metrics`] installs another sink. All
+/// counters are relaxed atomics — monitoring, not coordination.
+///
+/// [`EstimationService`]: crate::EstimationService
+/// [`EstimationService::with_metrics`]: crate::EstimationService::with_metrics
 #[derive(Debug, Default)]
-pub(crate) struct ServiceStats {
-    estimates: AtomicU64,
-    batches: AtomicU64,
-    query_cache_hits: AtomicU64,
-    installs: AtomicU64,
-    total_latency_ns: AtomicU64,
-    buckets: [AtomicU64; LATENCY_BUCKETS],
-    /// Budgeted answers per quality tier (index = [`Quality::ALL`] order).
-    quality_counts: [AtomicU64; QUALITY_TIERS],
-    /// Summed latency per quality tier.
-    quality_latency_ns: [AtomicU64; QUALITY_TIERS],
-    /// Degraded answers per [`DegradeReason`]
-    /// (deadline / work-quota / cancelled / panic).
-    degrade_reasons: [AtomicU64; 4],
-    /// Requests refused by admission control.
+pub struct ServiceStats {
+    // Field meanings: see the same-named `ServiceStatsSnapshot` fields.
+    attempted: [AtomicU64; QUALITY_TIERS],
+    answered: [AtomicU64; QUALITY_TIERS],
+    served: [AtomicU64; QUALITY_TIERS],
+    served_latency_ns: [AtomicU64; QUALITY_TIERS],
+    degraded: [AtomicU64; 4],
+    cached: AtomicU64,
+    latency: LatencyHistogram,
     sheds: AtomicU64,
-    /// Requests whose estimator panicked and was isolated; each also
-    /// quarantines its snapshot's cache.
+    shed_retry_ns_sum: AtomicU64,
+    shed_retry_ns_max: AtomicU64,
     quarantines: AtomicU64,
-    /// Partial snapshot installs (delta-ingest publishes).
+    bound_widths: AtomicU64,
+    bound_width_sum_milli: AtomicU64,
+    bound_width_max_milli: AtomicU64,
+    max_epoch: AtomicU64,
+    batches: AtomicU64,
+    installs: AtomicU64,
     partial_installs: AtomicU64,
-    /// Delta batches published through partial installs.
-    ingest_batches: AtomicU64,
-    /// Row ops covered by those batches.
     ingest_ops: AtomicU64,
-    /// SITs rebuilt (drift- or staleness-triggered) across all ingests.
     sits_refreshed: AtomicU64,
-    /// Cache entries carried across partial installs.
     cache_carried: AtomicU64,
-    /// Cache entries invalidated by partial installs.
     cache_dropped: AtomicU64,
 }
 
-impl ServiceStats {
-    pub(crate) fn record_estimate(&self, latency: Duration, query_cache_hit: bool) {
-        self.estimates.fetch_add(1, Ordering::Relaxed);
-        if query_cache_hit {
-            self.query_cache_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        let ns = latency.as_nanos().min(u64::MAX as u128) as u64;
-        self.total_latency_ns.fetch_add(ns, Ordering::Relaxed);
-        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+impl MetricsSink for ServiceStats {
+    fn rung_attempted(&self, quality: Quality) {
+        self.attempted[quality_idx(quality)].fetch_add(1, RELAXED);
     }
 
-    pub(crate) fn record_batch(&self) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_install(&self) {
-        self.installs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_partial_install(
-        &self,
-        ops: u64,
-        refreshed: u64,
-        carried: u64,
-        dropped: u64,
-    ) {
-        self.installs.fetch_add(1, Ordering::Relaxed);
-        self.partial_installs.fetch_add(1, Ordering::Relaxed);
-        self.ingest_batches.fetch_add(1, Ordering::Relaxed);
-        self.ingest_ops.fetch_add(ops, Ordering::Relaxed);
-        self.sits_refreshed.fetch_add(refreshed, Ordering::Relaxed);
-        self.cache_carried.fetch_add(carried, Ordering::Relaxed);
-        self.cache_dropped.fetch_add(dropped, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_quality(
-        &self,
-        quality: Quality,
-        reason: Option<DegradeReason>,
-        latency: Duration,
-    ) {
-        let i = quality_idx(quality);
-        self.quality_counts[i].fetch_add(1, Ordering::Relaxed);
-        let ns = latency.as_nanos().min(u64::MAX as u128) as u64;
-        self.quality_latency_ns[i].fetch_add(ns, Ordering::Relaxed);
+    fn rung_answered(&self, quality: Quality, reason: Option<DegradeReason>) {
+        self.answered[quality_idx(quality)].fetch_add(1, RELAXED);
         if let Some(r) = reason {
-            self.degrade_reasons[reason_idx(r)].fetch_add(1, Ordering::Relaxed);
+            self.degraded[reason_idx(r)].fetch_add(1, RELAXED);
         }
     }
 
-    pub(crate) fn record_shed(&self) {
-        self.sheds.fetch_add(1, Ordering::Relaxed);
+    fn estimate_served(&self, latency_ns: u64, quality: Quality, cached: bool) {
+        let i = quality_idx(quality);
+        self.served[i].fetch_add(1, RELAXED);
+        self.served_latency_ns[i].fetch_add(latency_ns, RELAXED);
+        if cached {
+            self.cached.fetch_add(1, RELAXED);
+        }
+        self.latency.record(latency_ns);
     }
 
+    fn shed(&self, retry_after_ns: u64) {
+        self.sheds.fetch_add(1, RELAXED);
+        self.shed_retry_ns_sum.fetch_add(retry_after_ns, RELAXED);
+        self.shed_retry_ns_max.fetch_max(retry_after_ns, RELAXED);
+    }
+
+    fn quarantine(&self) {
+        self.quarantines.fetch_add(1, RELAXED);
+    }
+
+    fn bound_width(&self, ratio: f64) {
+        let milli = (ratio * 1000.0).min(u64::MAX as f64) as u64;
+        self.bound_widths.fetch_add(1, RELAXED);
+        self.bound_width_sum_milli.fetch_add(milli, RELAXED);
+        self.bound_width_max_milli.fetch_max(milli, RELAXED);
+    }
+
+    fn ingest_epoch_observed(&self, epoch: u64) {
+        self.max_epoch.fetch_max(epoch, RELAXED);
+    }
+
+    fn batch(&self) {
+        self.batches.fetch_add(1, RELAXED);
+    }
+
+    fn install(&self) {
+        self.installs.fetch_add(1, RELAXED);
+    }
+
+    fn partial_install(&self, ops: u64, refreshed: u64, carried: u64, dropped: u64) {
+        self.installs.fetch_add(1, RELAXED);
+        self.partial_installs.fetch_add(1, RELAXED);
+        self.ingest_ops.fetch_add(ops, RELAXED);
+        self.sits_refreshed.fetch_add(refreshed, RELAXED);
+        self.cache_carried.fetch_add(carried, RELAXED);
+        self.cache_dropped.fetch_add(dropped, RELAXED);
+    }
+}
+
+impl ServiceStats {
     /// Mean latency over everything served so far — the load-shed
     /// retry-after hint. Zero when nothing was served yet.
     pub(crate) fn mean_latency_hint(&self) -> Duration {
-        self.total_latency_ns
-            .load(Ordering::Relaxed)
-            .checked_div(self.estimates.load(Ordering::Relaxed))
-            .map_or(Duration::ZERO, Duration::from_nanos)
+        self.latency.snapshot().mean()
     }
 
-    pub(crate) fn record_quarantine(&self) {
-        self.quarantines.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self, cache: CacheCounters) -> ServiceStatsSnapshot {
-        let mut buckets = [0u64; LATENCY_BUCKETS];
-        for (out, b) in buckets.iter_mut().zip(&self.buckets) {
-            *out = b.load(Ordering::Relaxed);
-        }
+    /// Point-in-time copy of every counter, with `cache` (the current
+    /// snapshot's cache counters, which live on the snapshot) attached.
+    pub fn snapshot(&self, cache: CacheCounters) -> ServiceStatsSnapshot {
         fn load<const N: usize>(arr: &[AtomicU64; N]) -> [u64; N] {
-            let mut out = [0u64; N];
-            for (o, a) in out.iter_mut().zip(arr) {
-                *o = a.load(Ordering::Relaxed);
-            }
-            out
+            std::array::from_fn(|i| arr[i].load(RELAXED))
         }
+        let quality_counts = load(&self.served);
         ServiceStatsSnapshot {
-            estimates: self.estimates.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            query_cache_hits: self.query_cache_hits.load(Ordering::Relaxed),
-            installs: self.installs.load(Ordering::Relaxed),
-            total_latency_ns: self.total_latency_ns.load(Ordering::Relaxed),
-            latency_buckets: buckets,
-            quality_counts: load(&self.quality_counts),
-            quality_latency_ns: load(&self.quality_latency_ns),
-            degrade_reasons: load(&self.degrade_reasons),
-            sheds: self.sheds.load(Ordering::Relaxed),
-            quarantines: self.quarantines.load(Ordering::Relaxed),
+            estimates: quality_counts.iter().sum(),
+            batches: self.batches.load(RELAXED),
+            query_cache_hits: self.cached.load(RELAXED),
+            installs: self.installs.load(RELAXED),
+            latency: self.latency.snapshot(),
+            rung_attempted: load(&self.attempted),
+            rung_answered: load(&self.answered),
+            quality_counts,
+            quality_latency_ns: load(&self.served_latency_ns),
+            degrade_reasons: load(&self.degraded),
+            sheds: self.sheds.load(RELAXED),
+            shed_retry_ns_sum: self.shed_retry_ns_sum.load(RELAXED),
+            shed_retry_ns_max: self.shed_retry_ns_max.load(RELAXED),
+            quarantines: self.quarantines.load(RELAXED),
+            bound_widths: self.bound_widths.load(RELAXED),
+            bound_width_sum_milli: self.bound_width_sum_milli.load(RELAXED),
+            bound_width_max_milli: self.bound_width_max_milli.load(RELAXED),
+            max_epoch: self.max_epoch.load(RELAXED),
             ingest: IngestCounters {
-                partial_installs: self.partial_installs.load(Ordering::Relaxed),
-                batches: self.ingest_batches.load(Ordering::Relaxed),
-                ops: self.ingest_ops.load(Ordering::Relaxed),
-                sits_refreshed: self.sits_refreshed.load(Ordering::Relaxed),
-                cache_carried: self.cache_carried.load(Ordering::Relaxed),
-                cache_dropped: self.cache_dropped.load(Ordering::Relaxed),
+                partial_installs: self.partial_installs.load(RELAXED),
+                ops: self.ingest_ops.load(RELAXED),
+                sits_refreshed: self.sits_refreshed.load(RELAXED),
+                cache_carried: self.cache_carried.load(RELAXED),
+                cache_dropped: self.cache_dropped.load(RELAXED),
             },
             cache,
         }
     }
 }
 
-/// Point-in-time delta-ingest counters (partial snapshot installs).
+/// Point-in-time delta-ingest counters (partial snapshot installs, one
+/// per ingested batch).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestCounters {
     /// Partial snapshot installs published.
     pub partial_installs: u64,
-    /// Delta batches those installs covered.
-    pub batches: u64,
-    /// Row ops those batches applied.
+    /// Row ops those installs' batches applied.
     pub ops: u64,
     /// SITs rebuilt across all ingests.
     pub sits_refreshed: u64,
@@ -191,42 +190,53 @@ pub struct IngestCounters {
     pub cache_dropped: u64,
 }
 
-/// Bucket index for a latency in nanoseconds.
-fn bucket_of(ns: u64) -> usize {
-    let us = ns / 1_000;
-    let idx = (u64::BITS - us.leading_zeros()) as usize;
-    idx.min(LATENCY_BUCKETS - 1)
-}
-
 /// Point-in-time service metrics, as returned by
-/// [`crate::EstimationService::stats`].
+/// [`crate::EstimationService::stats`]. Per-tier arrays are indexed in
+/// [`Quality::ALL`] order, worst to best: bound, independence, greedy,
+/// pruned, beam, full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceStatsSnapshot {
-    /// Estimates served (cache hits included).
+    /// Estimates served, cache hits included (the sum of
+    /// `quality_counts`).
     pub estimates: u64,
-    /// `estimate_batch` calls served.
+    /// Batch calls served (`estimate_batch` and its budgeted sibling).
     pub batches: u64,
     /// Estimates answered entirely from the whole-query cache.
     pub query_cache_hits: u64,
-    /// Catalog snapshots installed after the initial one.
+    /// Catalog snapshots installed after the initial one: full installs,
+    /// partial installs, and replacements after a panic.
     pub installs: u64,
-    /// Sum of per-estimate latencies.
-    pub total_latency_ns: u64,
-    /// Power-of-two latency histogram; bucket `i` counts estimates in
-    /// `[2^(i-1), 2^i)` µs, last bucket is unbounded above.
-    pub latency_buckets: [u64; LATENCY_BUCKETS],
-    /// Budgeted answers per quality tier, indexed in [`Quality::ALL`]
-    /// order (worst-to-best: independence, greedy, pruned, beam, full).
+    /// Latency of every served estimate.
+    pub latency: LatencySnapshot,
+    /// Rungs the ladder tried, per tier. A cache hit tries none.
+    pub rung_attempted: [u64; QUALITY_TIERS],
+    /// Rungs that produced an answer, per tier. This counts rung
+    /// outcomes, not requests (see [`MetricsSink`]).
+    pub rung_answered: [u64; QUALITY_TIERS],
+    /// Estimates served, per tier.
     pub quality_counts: [u64; QUALITY_TIERS],
-    /// Summed latency per quality tier (same indexing).
+    /// Summed latency of the estimates served, per tier.
     pub quality_latency_ns: [u64; QUALITY_TIERS],
-    /// Degraded answers per reason: deadline, work-quota, cancelled,
-    /// panic.
+    /// Degraded rung answers per reason: deadline, work-quota,
+    /// cancelled, panic.
     pub degrade_reasons: [u64; 4],
-    /// Requests refused by admission control (load shed).
+    /// Requests refused with a retry hint: by admission control, or by a
+    /// front door reporting into this service's sink.
     pub sheds: u64,
+    /// Sum of those retry hints, nanoseconds.
+    pub shed_retry_ns_sum: u64,
+    /// Largest retry hint handed out, nanoseconds (0 when never shed).
+    pub shed_retry_ns_max: u64,
     /// Panicking requests isolated; each quarantined a snapshot cache.
     pub quarantines: u64,
+    /// Answers whose safety-envelope width was known and finite.
+    pub bound_widths: u64,
+    /// Sum of those widths, in milli-units (×1000).
+    pub bound_width_sum_milli: u64,
+    /// Widest envelope, in milli-units (×1000).
+    pub bound_width_max_milli: u64,
+    /// Highest catalog epoch any served answer observed.
+    pub max_epoch: u64,
     /// Delta-ingest counters (partial snapshot installs).
     pub ingest: IngestCounters,
     /// Counters of the *current* snapshot's sharded cache (reset on every
@@ -237,12 +247,10 @@ pub struct ServiceStatsSnapshot {
 impl ServiceStatsSnapshot {
     /// Mean estimate latency; zero when nothing was served.
     pub fn mean_latency(&self) -> Duration {
-        self.total_latency_ns
-            .checked_div(self.estimates)
-            .map_or(Duration::ZERO, Duration::from_nanos)
+        self.latency.mean()
     }
 
-    /// Budgeted answers for one quality tier.
+    /// Estimates served from one quality tier.
     pub fn quality_count(&self, q: Quality) -> u64 {
         self.quality_counts[quality_idx(q)]
     }
@@ -255,72 +263,66 @@ impl ServiceStatsSnapshot {
             .map_or(Duration::ZERO, Duration::from_nanos)
     }
 
-    /// Degraded answers attributed to one reason.
+    /// Degraded rung answers attributed to one reason.
     pub fn degraded_by(&self, r: DegradeReason) -> u64 {
         self.degrade_reasons[reason_idx(r)]
+    }
+
+    /// Fraction of served answers at full quality (1.0 when nothing was
+    /// served — an idle service is not a degraded one).
+    pub fn full_fraction(&self) -> f64 {
+        if self.estimates == 0 {
+            return 1.0;
+        }
+        self.quality_count(Quality::Full) as f64 / self.estimates as f64
     }
 }
 
 impl fmt::Display for ServiceStatsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (latency, ingest, cache) = (&self.latency, &self.ingest, &self.cache);
         writeln!(
             f,
             "estimates: {} ({} query-cache hits), batches: {}, installs: {}",
             self.estimates, self.query_cache_hits, self.batches, self.installs
         )?;
-        writeln!(f, "mean latency: {:?}", self.mean_latency())?;
-        if self.quality_counts.iter().any(|&n| n > 0) || self.sheds > 0 || self.quarantines > 0 {
-            write!(f, "budgeted:")?;
-            for q in Quality::ALL.iter().rev() {
-                let n = self.quality_count(*q);
-                if n > 0 {
-                    write!(
-                        f,
-                        " {}={} ({:?})",
-                        q.label(),
-                        n,
-                        self.quality_mean_latency(*q)
-                    )?;
-                }
-            }
-            writeln!(f, " sheds={} quarantines={}", self.sheds, self.quarantines)?;
-        }
-        if self.ingest.partial_installs > 0 {
-            writeln!(
-                f,
-                "ingest: {} partial installs ({} batches, {} ops), {} SIT refreshes, \
-                 cache carried {} / dropped {}",
-                self.ingest.partial_installs,
-                self.ingest.batches,
-                self.ingest.ops,
-                self.ingest.sits_refreshed,
-                self.ingest.cache_carried,
-                self.ingest.cache_dropped
-            )?;
-        }
         writeln!(
             f,
-            "shared cache: {} hits / {} misses ({:.1}% hit rate), {} insertions, {} evictions",
-            self.cache.hits,
-            self.cache.misses,
-            100.0 * self.cache.hit_rate(),
-            self.cache.insertions,
-            self.cache.evictions
+            "latency: mean {:?}, p50 ≤ {} µs, p99 ≤ {} µs, p99.9 ≤ {} µs",
+            latency.mean(),
+            latency.quantile_us(0.50),
+            latency.quantile_us(0.99),
+            latency.quantile_us(0.999)
         )?;
-        write!(f, "latency histogram (µs):")?;
-        for (i, &n) in self.latency_buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if i + 1 == LATENCY_BUCKETS {
-                write!(f, " [>={}: {}]", 1u64 << (i - 1), n)?;
-            } else if i == 0 {
-                write!(f, " [<1: {n}]")?;
-            } else {
-                write!(f, " [{}-{}: {}]", 1u64 << (i - 1), 1u64 << i, n)?;
+        write!(f, "served:")?;
+        for &q in Quality::ALL.iter().rev() {
+            let (n, mean) = (self.quality_count(q), self.quality_mean_latency(q));
+            if n > 0 {
+                write!(f, " {}={n} ({mean:?})", q.label())?;
             }
         }
-        Ok(())
+        writeln!(f, " sheds={} quarantines={}", self.sheds, self.quarantines)?;
+        if ingest.partial_installs > 0 {
+            writeln!(
+                f,
+                "ingest: {} partial installs ({} ops), {} SIT refreshes, \
+                 cache carried {} / dropped {}",
+                ingest.partial_installs,
+                ingest.ops,
+                ingest.sits_refreshed,
+                ingest.cache_carried,
+                ingest.cache_dropped
+            )?;
+        }
+        write!(
+            f,
+            "shared cache: {} hits / {} misses ({:.1}% hit rate), {} insertions, {} evictions",
+            cache.hits,
+            cache.misses,
+            100.0 * cache.hit_rate(),
+            cache.insertions,
+            cache.evictions
+        )
     }
 }
 
@@ -329,34 +331,53 @@ mod tests {
     use super::*;
 
     #[test]
-    fn buckets_are_log2_of_microseconds() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(999), 0); // sub-microsecond
-        assert_eq!(bucket_of(1_000), 1); // 1 µs
-        assert_eq!(bucket_of(1_999), 1);
-        assert_eq!(bucket_of(2_000), 2);
-        assert_eq!(bucket_of(1_000_000), 10); // 1 ms = 1000 µs -> [512, 1024)
-        assert_eq!(bucket_of(u64::MAX), LATENCY_BUCKETS - 1);
+    fn snapshot_reports_means_hits_and_rung_mix() {
+        let s = ServiceStats::default();
+        assert_eq!(s.snapshot(CacheCounters::default()).full_fraction(), 1.0); // idle ≠ degraded
+        s.rung_attempted(Quality::Full);
+        s.rung_answered(Quality::Pruned, Some(DegradeReason::Deadline));
+        s.estimate_served(10_000, Quality::Pruned, false);
+        s.estimate_served(30_000, Quality::Full, true);
+        s.batch();
+        let snap = s.snapshot(CacheCounters::default());
+        assert_eq!(
+            (snap.estimates, snap.query_cache_hits, snap.batches),
+            (2, 1, 1)
+        );
+        assert_eq!(snap.mean_latency(), Duration::from_micros(20));
+        assert_eq!(s.mean_latency_hint(), Duration::from_micros(20));
+        assert_eq!(snap.quality_count(Quality::Pruned), 1);
+        assert_eq!(snap.rung_attempted[quality_idx(Quality::Full)], 1);
+        assert_eq!(snap.rung_answered[quality_idx(Quality::Pruned)], 1);
+        assert_eq!(snap.degraded_by(DegradeReason::Deadline), 1);
+        assert!((snap.full_fraction() - 0.5).abs() < 1e-9);
+        // Display must not panic and must mention the headline counter.
+        assert!(snap.to_string().contains("estimates: 2"));
     }
 
     #[test]
-    fn snapshot_reports_means_and_hits() {
+    fn sheds_epochs_widths_and_installs_aggregate() {
         let s = ServiceStats::default();
-        s.record_estimate(Duration::from_micros(10), false);
-        s.record_estimate(Duration::from_micros(30), true);
-        s.record_batch();
-        let snap = s.snapshot(CacheCounters {
-            hits: 0,
-            misses: 0,
-            insertions: 0,
-            evictions: 0,
-        });
-        assert_eq!(snap.estimates, 2);
-        assert_eq!(snap.query_cache_hits, 1);
-        assert_eq!(snap.batches, 1);
-        assert_eq!(snap.mean_latency(), Duration::from_micros(20));
-        assert_eq!(snap.latency_buckets.iter().sum::<u64>(), 2);
-        // Display must not panic and must mention the headline counter.
-        assert!(snap.to_string().contains("estimates: 2"));
+        for (hint, epoch, width) in [(4_000_000, 3, 2.0), (2_000_000, 1, 6.0)] {
+            s.shed(hint);
+            s.ingest_epoch_observed(epoch);
+            s.bound_width(width);
+        }
+        s.install();
+        s.partial_install(7, 1, 5, 2);
+        let snap = s.snapshot(CacheCounters::default());
+        assert_eq!((snap.sheds, snap.shed_retry_ns_sum), (2, 6_000_000));
+        assert_eq!((snap.shed_retry_ns_max, snap.max_epoch), (4_000_000, 3));
+        let widths = (snap.bound_widths, snap.bound_width_sum_milli);
+        assert_eq!((widths, snap.bound_width_max_milli), ((2, 8_000), 6_000));
+        assert_eq!(snap.installs, 2, "partial installs count as installs");
+        let ingest = IngestCounters {
+            partial_installs: 1,
+            ops: 7,
+            sits_refreshed: 1,
+            cache_carried: 5,
+            cache_dropped: 2,
+        };
+        assert_eq!(snap.ingest, ingest);
     }
 }

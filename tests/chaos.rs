@@ -666,6 +666,45 @@ fn panicking_estimate_is_isolated_and_recovers() {
     );
 }
 
+/// A request that panics after its answer was computed — here in the
+/// bound sketch, which runs after the ladder — is served once, from the
+/// floor. The full rung's answer before the panic still counts as a rung
+/// outcome: "answered" counts rungs, "served" counts requests.
+#[test]
+fn panic_after_the_answer_counts_the_request_once() {
+    let _guard = failpoint::test_serial_guard();
+    failpoint::disarm_all();
+    let db = chaos_db();
+    let queries = chaos_queries(&db);
+    let catalog = sqe::core::build_pool(&db, &queries, PoolSpec::ji(1)).expect("pool");
+    let svc = EstimationService::new(Arc::clone(&db), catalog, ServiceConfig::default());
+    assert_eq!(svc.config().backend, BackendKind::Diff);
+
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    failpoint::arm_with("pessimistic::bound", Action::Panic, 1, Some(1), 5);
+    let e = svc
+        .estimate_with_budget(&queries[0], &Budget::unlimited())
+        .expect("panic is isolated, not propagated");
+    failpoint::disarm_all();
+    std::panic::set_hook(prev_hook);
+
+    assert_eq!(e.quality, Quality::Independence);
+    assert_eq!(e.degraded_reason, Some(DegradeReason::Panic));
+    let stats = svc.stats();
+    assert_eq!(stats.estimates, 1, "one request, served once");
+    assert_eq!(stats.quality_count(Quality::Independence), 1);
+    assert_eq!(stats.quality_count(Quality::Full), 0);
+    assert_eq!(stats.quality_counts.iter().sum::<u64>(), 1);
+    assert_eq!(stats.latency.count(), 1);
+    let at = |q: Quality| Quality::ALL.iter().position(|&t| t == q).expect("tier");
+    assert_eq!(stats.rung_attempted[at(Quality::Full)], 1);
+    assert_eq!(stats.rung_answered[at(Quality::Full)], 1);
+    assert_eq!(stats.rung_answered[at(Quality::Independence)], 1);
+    assert_eq!(stats.degraded_by(DegradeReason::Panic), 1);
+    assert_eq!(stats.quarantines, 1);
+}
+
 /// Deterministic 12-predicate join chain with two filters per table: the
 /// dense engine's target regime, with same-table conditioning for the BN
 /// backend (the fixture of `tests/backends.rs` and `tests/beam.rs`).

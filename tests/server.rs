@@ -298,6 +298,108 @@ fn wire_protocol_is_total_and_answers_match_the_service() {
 }
 
 // ---------------------------------------------------------------------
+// The metrics contract: series names, labels and stats keys
+// ---------------------------------------------------------------------
+
+/// `/metrics` and `/v1/<t>/stats` keep every series, label and key for a
+/// fixed request sequence driven only through the HTTP routes: estimates
+/// with one whole-query cache hit, a quota shed, an ingest, and an
+/// estimate at the new epoch. Latency values are masked; the other
+/// values pinned here are deterministic.
+#[test]
+fn metrics_routes_keep_their_series_and_keys() {
+    let _guard = failpoint::test_serial_guard();
+    failpoint::disarm_all();
+
+    let door = FrontDoor::new(0);
+    add_small_tenant(&door, "acme", 0, open_quota());
+    // One token and (almost) no refill: the second request sheds.
+    let quota = QuotaConfig {
+        rate: 1e-6,
+        burst: 1.0,
+        max_in_flight: 4,
+        deadline_ceiling: Duration::from_secs(60),
+    };
+    add_small_tenant(&door, "zeta", 1, quota);
+    let queries = small_queries();
+    let estimate = |tenant: &str, q: &SpjQuery| {
+        let target = format!("/v1/{tenant}/estimate");
+        door.handle(&Request::new(
+            "POST",
+            &target,
+            estimate_body(q, Some(5_000)),
+        ))
+    };
+    for q in [&queries[0], &queries[1], &queries[0]] {
+        assert_eq!(parse_estimate(&estimate("acme", q)).quality, "full");
+    }
+    assert_eq!(
+        parse_estimate(&estimate("zeta", &queries[0])).quality,
+        "full"
+    );
+    assert_eq!(estimate("zeta", &queries[0]).status, 429);
+    let batch = serde_json::to_string(&small_batches(1, 8, 0xC0FFEE)[0]).expect("serializes");
+    let resp = door.handle(&Request::new("POST", "/v1/acme/ingest", batch));
+    assert_eq!(resp.status, 200, "ingest: {}", body_str(&resp));
+    let wire = parse_estimate(&estimate("acme", &queries[2]));
+    assert_eq!((wire.epoch, wire.quality.as_str()), (1, "full"));
+
+    let metrics = door.handle(&Request::new("GET", "/metrics", ""));
+    let masked: String = body_str(&metrics)
+        .lines()
+        .map(|line| match line.split_once("} ") {
+            Some((series, _)) if series.starts_with("sqe_latency_us{") => format!("{series}}} _\n"),
+            _ => format!("{line}\n"),
+        })
+        .collect();
+    let want = r#"sqe_rung_attempted_total{tenant="acme",rung="full"} 3
+sqe_rung_answered_total{tenant="acme",rung="full"} 3
+sqe_estimates_served_total{tenant="acme",rung="full"} 4
+sqe_estimates_cached_total{tenant="acme"} 1
+sqe_sheds_total{tenant="acme"} 0
+sqe_quarantines_total{tenant="acme"} 0
+sqe_ingest_epoch{tenant="acme"} 1
+sqe_latency_us{tenant="acme",quantile="0.5"} _
+sqe_latency_us{tenant="acme",quantile="0.99"} _
+sqe_latency_us{tenant="acme",quantile="0.999"} _
+sqe_rung_attempted_total{tenant="zeta",rung="full"} 1
+sqe_rung_answered_total{tenant="zeta",rung="full"} 1
+sqe_estimates_served_total{tenant="zeta",rung="full"} 1
+sqe_estimates_cached_total{tenant="zeta"} 0
+sqe_sheds_total{tenant="zeta"} 1
+sqe_quarantines_total{tenant="zeta"} 0
+sqe_ingest_epoch{tenant="zeta"} 0
+sqe_latency_us{tenant="zeta",quantile="0.5"} _
+sqe_latency_us{tenant="zeta",quantile="0.99"} _
+sqe_latency_us{tenant="zeta",quantile="0.999"} _
+sqe_global_in_flight 0
+sqe_global_max_in_flight 0
+"#;
+    assert_eq!(masked, want);
+
+    for (tenant, served, cached, sheds, epoch) in [("acme", 4, 1, 0, 1), ("zeta", 1, 0, 1, 0)] {
+        let stats = door.handle(&Request::new("GET", &format!("/v1/{tenant}/stats"), ""));
+        let body = body_str(&stats);
+        let keys = "rungs rung attempted answered served degraded reason count served_total
+            cached full_fraction sheds shed_retry_ms_mean shed_retry_ms_max quarantines
+            bound_width_mean bound_width_max max_epoch p50_us p99_us p999_us";
+        for key in keys.split_whitespace() {
+            assert!(body.contains(&format!("\"{key}\":")), "{key} gone: {body}");
+        }
+        for pinned in [
+            r#""rungs":[{"rung":"bound","#.to_string(),
+            r#""degraded":[{"reason":"deadline","count":0},"#.to_string(),
+            format!(r#""served_total":{served},"cached":{cached},"full_fraction":1.0,"#),
+            format!(r#""sheds":{sheds},"#),
+            r#""quarantines":0,"bound_width_mean":"#.to_string(),
+            format!(r#""max_epoch":{epoch},"#),
+        ] {
+            assert!(body.contains(&pinned), "{pinned} not in {body}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // The three admission gates and their hints
 // ---------------------------------------------------------------------
 
