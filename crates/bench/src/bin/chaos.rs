@@ -68,7 +68,7 @@ struct ChaosReport {
     server: ServerPhase,
 }
 
-/// Results of the front-end phase: the reactor's three loss failpoints
+/// Results of the front-end phase: the server's three loss failpoints
 /// (`server::accept`, `server::read`, `server::respond`) plus a
 /// mid-request `server::handle` panic, driven over real loopback sockets.
 #[derive(Serialize)]
@@ -140,7 +140,7 @@ fn server_phase(db: &Database, pool: &SitCatalog, workload: &[SpjQuery]) -> Serv
         )
     };
 
-    // Quiet the injected handler panics (the reactor catches them).
+    // Quiet the injected handler panics (the server catches them).
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     failpoint::arm_with("server::accept", Action::Error, 4, None, 91);
@@ -410,7 +410,7 @@ fn main() {
         }
     }
 
-    // Front-end phase: reactor failpoints over real sockets.
+    // Front-end phase: server failpoints over real sockets.
     let server = server_phase(&db, &pool, &workload);
 
     let stats = svc.stats();

@@ -8,17 +8,14 @@
 //! thread then replays the *full* workload `reps` times against the now-hot
 //! snapshot, modeling concurrent sessions issuing recurring query shapes.
 //!
-//! A final **batch phase** drives `estimate_batch` over the full workload
-//! with a parallel worker pool and asserts every estimate bit-identical to
-//! the sequential batch path (the check the service's design guarantees —
-//! see `estimate_batch`).
+//! A final **degraded phase** runs budgeted estimates at three deadlines
+//! on a cold cache and reports latency and which ladder rung answered.
 //!
 //! ```text
 //! cargo run --release -p sqe-bench --bin service_bench \
 //!     [-- --queries 60 --joins 4 --pool 2 --threads 1,2,4,8 --reps 3]
 //! ```
 
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,14 +34,6 @@ struct Row {
 }
 
 #[derive(Serialize)]
-struct BatchRow {
-    threads: usize,
-    cold_batch_us: f64,
-    /// Always true when the row exists — the bench aborts on divergence.
-    bit_identical_to_sequential: bool,
-}
-
-#[derive(Serialize)]
 struct DegradedRow {
     deadline: String,
     p50_us: f64,
@@ -59,7 +48,6 @@ struct DegradedRow {
 #[derive(Serialize)]
 struct Report {
     concurrency: Vec<Row>,
-    batch: Vec<BatchRow>,
     degraded: Vec<DegradedRow>,
 }
 
@@ -154,58 +142,6 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("\nhost parallelism: {cores} core(s) available to this process");
 
-    // Batch phase: parallel estimate_batch vs the sequential path, cold
-    // snapshots on both sides, asserting the service's bit-identity
-    // guarantee on every deterministic Estimate field.
-    println!("\nbatch phase — parallel estimate_batch vs sequential, cold cache");
-    let batch_svc = |threads: usize| {
-        EstimationService::new(
-            Arc::clone(&db),
-            pool.clone(),
-            ServiceConfig {
-                batch_threads: Some(NonZeroUsize::new(threads).expect("non-zero thread count")),
-                ..ServiceConfig::default()
-            },
-        )
-    };
-    let reference = batch_svc(1).estimate_batch(&workload);
-    let mut batch_rows: Vec<BatchRow> = Vec::new();
-    for &threads in &thread_counts {
-        let svc = batch_svc(threads);
-        let start = Instant::now();
-        let got = svc.estimate_batch(&workload);
-        let elapsed_us = start.elapsed().as_secs_f64() * 1e6;
-        assert_eq!(got.len(), reference.len());
-        for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
-            assert_eq!(
-                g.selectivity.to_bits(),
-                r.selectivity.to_bits(),
-                "batch[{i}] selectivity diverged at {threads} threads"
-            );
-            assert_eq!(
-                g.error.to_bits(),
-                r.error.to_bits(),
-                "batch[{i}] error diverged at {threads} threads"
-            );
-            assert_eq!(
-                g.cardinality.to_bits(),
-                r.cardinality.to_bits(),
-                "batch[{i}] cardinality diverged at {threads} threads"
-            );
-            assert_eq!(g.epoch, r.epoch, "batch[{i}] epoch diverged");
-        }
-        println!(
-            "  {threads} worker(s): {} queries in {:.0} µs — bit-identical to sequential",
-            workload.len(),
-            elapsed_us
-        );
-        batch_rows.push(BatchRow {
-            threads,
-            cold_batch_us: round_us(elapsed_us),
-            bit_identical_to_sequential: true,
-        });
-    }
-
     // Degraded phase: budgeted estimates at three deadline settings on a
     // cold cache, reporting the latency distribution and which rung of the
     // degradation ladder answered. The `none` row doubles as the
@@ -283,7 +219,6 @@ fn main() {
 
     let report = Report {
         concurrency: rows,
-        batch: batch_rows,
         degraded: degraded_rows,
     };
     match write_json("service_bench", &report) {

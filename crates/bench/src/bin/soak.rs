@@ -16,7 +16,7 @@
 //!   tenant's answers only);
 //! * no accounting leaks: after the load stops, the global admission
 //!   pool and every tenant's in-flight pool read zero;
-//! * the TCP reactor answers real sockets (a smoke pass over loopback:
+//! * the TCP server answers real sockets (a smoke pass over loopback:
 //!   health, metrics, one estimate per tenant).
 //!
 //! The hot tenant's deadline ceiling is *calibrated*, not hardcoded: the
@@ -532,7 +532,7 @@ fn main() {
         );
     }
 
-    // --- TCP smoke: the reactor answers real sockets ------------------
+    // --- TCP smoke: the server answers real sockets -------------------
     // The hot tenant ends phase 2 with its bucket drained: wait one
     // refill period, so its probe below is admitted instead of shed.
     std::thread::sleep(Duration::from_secs_f64(1.0 / hot_rate));

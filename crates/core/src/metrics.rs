@@ -44,7 +44,7 @@ use crate::budget::{DegradeReason, Quality};
 /// differ in two ways: a whole-query cache hit is served without any rung
 /// running, and a request that panics after a rung answered (say, in the
 /// bound sketch) reports that rung's answer and then the independence
-/// floor's, yet is served once — from the floor.
+/// floor's attempt and answer, yet is served once — from the floor.
 pub trait MetricsSink: Send + Sync {
     /// The degradation ladder is about to try a rung. Called once per
     /// attempted rung in descending-quality order; an unbudgeted (or

@@ -1,85 +1,13 @@
-//! Pins `estimate_batch` determinism: across `batch_threads ∈ {1, 2, 8}`
-//! every [`Estimate`] field except `cached` is bit-identical — and equal
-//! to a fresh single-threaded [`SelectivityEstimator`] over the same
-//! catalog — and the answers are sane against oracle ground truth.
-//!
-//! `cached` is excluded by design: it reports whether the whole-query
-//! cache answered, which depends on which worker got to a duplicate key
-//! first (see the field's rustdoc in `sqe-service`). The batches here
-//! contain each query twice precisely to exercise those races.
+//! Pins `estimate_batch` against a fresh single-threaded
+//! [`SelectivityEstimator`] over the same catalog, field by field, and
+//! against oracle ground truth.
 
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use sqe_core::{build_pool, ErrorMode, PoolSpec, SelectivityEstimator};
-use sqe_engine::{CardinalityOracle, SpjQuery};
+use sqe_engine::CardinalityOracle;
 use sqe_oracle::{scenarios, OracleTier};
-use sqe_service::{Estimate, EstimationService, ServiceConfig};
-
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// A fresh service (fresh snapshot, cold cache) with the given worker
-/// count, so every thread-count run starts from identical cache state.
-fn fresh_service(
-    db: &Arc<sqe_engine::Database>,
-    catalog: &sqe_core::SitCatalog,
-    threads: usize,
-) -> EstimationService {
-    EstimationService::new(
-        Arc::clone(db),
-        catalog.clone(),
-        ServiceConfig {
-            mode: ErrorMode::Diff,
-            batch_threads: Some(NonZeroUsize::new(threads).expect("non-zero")),
-            ..ServiceConfig::default()
-        },
-    )
-}
-
-#[test]
-fn batch_is_deterministic_across_thread_counts() {
-    for sc in scenarios(OracleTier::Smoke) {
-        let catalog = build_pool(&sc.db, &sc.queries, PoolSpec::ji(2)).expect("J2 pool");
-        // Duplicate every query so parallel runs race the whole-query
-        // cache key; append reversed so duplicates land on far-apart slots.
-        let mut batch: Vec<SpjQuery> = sc.queries.clone();
-        batch.extend(sc.queries.iter().rev().cloned());
-        let db = Arc::new(sc.db);
-
-        let runs: Vec<Vec<Estimate>> = THREAD_COUNTS
-            .iter()
-            .map(|&t| fresh_service(&db, &catalog, t).estimate_batch(&batch))
-            .collect();
-
-        let reference = &runs[0];
-        for (run, &threads) in runs.iter().zip(&THREAD_COUNTS).skip(1) {
-            assert_eq!(run.len(), reference.len());
-            for (i, (a, b)) in reference.iter().zip(run).enumerate() {
-                assert_eq!(
-                    a.selectivity.to_bits(),
-                    b.selectivity.to_bits(),
-                    "{}: selectivity diverged at query {i} with {threads} threads",
-                    sc.name
-                );
-                assert_eq!(
-                    a.error.to_bits(),
-                    b.error.to_bits(),
-                    "{}: error diverged at query {i} with {threads} threads",
-                    sc.name
-                );
-                assert_eq!(
-                    a.cardinality.to_bits(),
-                    b.cardinality.to_bits(),
-                    "{}: cardinality diverged at query {i} with {threads} threads",
-                    sc.name
-                );
-                assert_eq!(a.epoch, b.epoch, "{}: epoch diverged at query {i}", sc.name);
-                // `cached` is deliberately NOT compared: it is the one
-                // scheduling-dependent field.
-            }
-        }
-    }
-}
+use sqe_service::{EstimationService, ServiceConfig};
 
 #[test]
 fn batch_matches_a_fresh_single_threaded_estimator_and_oracle_truth() {
@@ -89,7 +17,10 @@ fn batch_matches_a_fresh_single_threaded_estimator_and_oracle_truth() {
         .expect("baseline scenario exists");
     let catalog = build_pool(&sc.db, &sc.queries, PoolSpec::ji(2)).expect("J2 pool");
     let db = Arc::new(sc.db);
-    let estimates = fresh_service(&db, &catalog, 8).estimate_batch(&sc.queries);
+    // The default service runs `ErrorMode::Diff`, the mode compared below.
+    let service =
+        EstimationService::new(Arc::clone(&db), catalog.clone(), ServiceConfig::default());
+    let estimates = service.estimate_batch(&sc.queries);
 
     let mut oracle = CardinalityOracle::new(&db);
     for (q, est) in sc.queries.iter().zip(&estimates) {

@@ -7,11 +7,11 @@
 //! transfer encoding, continuation lines, pipelined requests beyond
 //! back-to-back parsing of complete messages, upgrade.
 //!
-//! Parsing is incremental: the reactor appends whatever bytes arrived to
-//! a connection buffer and calls [`parse_request`], which either consumes
-//! one complete request or reports [`Parse::Incomplete`] (wait for more
-//! bytes) or [`Parse::Bad`] (the connection is garbage; answer 400 and
-//! close). Limits are enforced *while* the message is incomplete, so a
+//! Parsing is incremental: a connection thread appends whatever bytes
+//! arrived to its buffer and calls [`parse_request`], which either
+//! consumes one complete request or reports [`Parse::Incomplete`] (wait
+//! for more bytes) or [`Parse::Bad`] (the connection is garbage; answer
+//! 400 and close). Limits are enforced *while* the message is incomplete, so a
 //! peer cannot balloon memory by never finishing its headers.
 
 /// Maximum size of the request head (request line + headers).

@@ -15,8 +15,9 @@
 //!   [`sqe_service::ServiceStats`] sink counts everything the tenant's
 //!   requests do (the front door's gates report their sheds into it), all
 //!   sharing one process-wide [`sqe_service::AdmissionControl`];
-//! - [`server`] — a single-threaded non-blocking reactor
-//!   (`TcpListener` poll loop) with the `server::accept` /
+//! - [`server`] — one blocking acceptor thread and one blocking thread
+//!   per connection (capped at [`server::MAX_CONNECTIONS`], closed after
+//!   [`server::IDLE_TIMEOUT`] idle), with the `server::accept` /
 //!   `server::read` / `server::respond` chaos failpoints placed so
 //!   admission accounting cannot leak.
 //!

@@ -1,14 +1,20 @@
-//! The reactor: a single-threaded non-blocking accept/read/respond loop
-//! over `std::net::TcpListener` — no executor, no external event
-//! library.
+//! The server: one blocking acceptor thread and one blocking thread per
+//! connection over `std::net` — no executor, no event library, no poll
+//! loop.
 //!
-//! Design: the listener and every accepted connection run in
-//! non-blocking mode; the loop round-robins (accept once, then pump
-//! every live connection), sleeping briefly when an iteration moved no
-//! bytes. On a one-estimate-per-millisecond service the poll sleep
-//! (≤ 500 µs) is noise, and a single thread is *deliberate*: request
-//! handling itself fans out through the tenant's `EstimationService`,
-//! so the reactor only parses, dispatches, and serializes.
+//! Design: the acceptor blocks in `accept` and hands each connection to
+//! a thread of its own, which blocks in `read`, answers every complete
+//! request in its buffer through [`FrontDoor::handle`], and writes the
+//! answers back at once. Request concurrency comes from connections alone:
+//! the kernel wakes a connection's thread the moment its bytes arrive, and
+//! a slow estimate or an ingest holds only its own connection. Two
+//! constants bound what clients can hold: at most [`MAX_CONNECTIONS`]
+//! connection threads live at once (the next connection is answered `503`
+//! and closed), and a connection whose reads or writes stall for
+//! [`IDLE_TIMEOUT`] closes, so idle keep-alive clients cannot sit on the
+//! cap. [`ServerHandle::shutdown`], or dropping the handle, wakes the
+//! blocking `accept` with a loopback connection of its own, closes every
+//! live socket and joins every thread.
 //!
 //! ## Failpoints
 //!
@@ -29,26 +35,39 @@
 //! with `catch_unwind`, answered as a 500, and the connection keeps
 //! serving — the service layer has already quarantined and recovered.
 
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::{JoinHandle, ThreadId};
 use std::time::Duration;
 
+use parking_lot::Mutex;
 use sqe_core::failpoint;
 
 use crate::http::{parse_request, Parse, Response, MAX_BODY, MAX_HEAD};
 use crate::tenant::FrontDoor;
 
-/// Poll sleep when an iteration moved no bytes.
-const IDLE_SLEEP: Duration = Duration::from_micros(500);
+/// Most connections served at once, one thread each.
+pub const MAX_CONNECTIONS: usize = 256;
 
-/// Reactor counters (relaxed; monitoring only).
+/// A connection whose read or write waits this long closes.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Pause after a failed `accept` (say, out of file descriptors), so a
+/// persistent error does not spin the acceptor.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Server counters (relaxed; monitoring only).
 #[derive(Debug, Default)]
 pub struct ServerStats {
     /// Connections accepted.
     pub accepted: AtomicU64,
+    /// Connections answered `503` and closed because
+    /// [`MAX_CONNECTIONS`] were live.
+    pub refused: AtomicU64,
     /// Requests fully parsed and dispatched.
     pub requests: AtomicU64,
     /// Responses written back.
@@ -65,12 +84,24 @@ pub struct ServerStats {
     pub handler_panics: AtomicU64,
 }
 
-/// A running server: address, stop flag, reactor thread.
+/// A live connection's socket, kept so shutdown can close it, and the
+/// thread serving it.
+type Conn = (Arc<TcpStream>, JoinHandle<()>);
+
+/// What the acceptor, the connection threads and the handle share.
+struct Shared {
+    door: Arc<FrontDoor>,
+    stats: Arc<ServerStats>,
+    stop: AtomicBool,
+    /// Every live connection, by the id of its thread.
+    live: Mutex<HashMap<ThreadId, Conn>>,
+}
+
+/// A running server: address, shared state, acceptor thread.
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    stats: Arc<ServerStats>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    shared: Arc<Shared>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -79,206 +110,191 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Reactor counters.
+    /// Server counters.
     pub fn stats(&self) -> &Arc<ServerStats> {
-        &self.stats
+        &self.shared.stats
     }
 
-    /// Signals the reactor to exit and joins it.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    /// Stops accepting, closes every live connection and joins every
+    /// thread (dropping the handle does the same).
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
+        self.shared.stop.store(true, Ordering::Release);
+        // Wake the blocking `accept` with a connection of our own.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        if let Some(t) = self.acceptor.take() {
             let _ = t.join();
+        }
+        // A blocked read now sees end of stream, a blocked write fails.
+        let live = std::mem::take(&mut *self.shared.live.lock());
+        for (stream, thread) in live.into_values() {
+            let _ = stream.shutdown(Shutdown::Both);
+            let _ = thread.join();
         }
     }
 }
 
-/// One live connection's buffers.
-struct Conn {
-    stream: TcpStream,
-    inbuf: Vec<u8>,
-    outbuf: Vec<u8>,
-    close_after_flush: bool,
-}
-
-/// Binds `addr` (e.g. `"127.0.0.1:0"`) and runs the reactor on a new
-/// thread until the handle is shut down or dropped.
+/// Binds `addr` (e.g. `"127.0.0.1:0"`) and accepts connections on a new
+/// thread until the handle is shut down or dropped. Connection threads
+/// are spawned by that thread, and inherit its CPU affinity and priority.
 pub fn spawn(door: Arc<FrontDoor>, addr: &str) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stats = Arc::new(ServerStats::default());
-    let thread = {
-        let (stop, stats) = (Arc::clone(&stop), Arc::clone(&stats));
+    let addr = listener.local_addr()?;
+    let shared = Arc::new(Shared {
+        door,
+        stats: Arc::default(),
+        stop: AtomicBool::new(false),
+        live: Mutex::new(HashMap::new()),
+    });
+    let acceptor = {
+        let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("sqe-server".to_string())
-            .spawn(move || reactor(listener, door, stop, stats))?
+            .spawn(move || accept_loop(&listener, &shared))?
     };
     Ok(ServerHandle {
-        addr: local,
-        stop,
-        stats,
-        thread: Some(thread),
+        addr,
+        shared,
+        acceptor: Some(acceptor),
     })
 }
 
-fn reactor(
-    listener: TcpListener,
-    door: Arc<FrontDoor>,
-    stop: Arc<AtomicBool>,
-    stats: Arc<ServerStats>,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut scratch = [0u8; 16 * 1024];
-    while !stop.load(Ordering::Acquire) {
-        let mut moved = false;
-        // Accept every pending connection this iteration.
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    moved = true;
-                    if failpoint::fire_err("server::accept").is_err() {
-                        // Dropped before tracking: the peer sees a reset,
-                        // and no server-side state was created.
-                        stats.accept_failures.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    stats.accepted.fetch_add(1, Ordering::Relaxed);
-                    conns.push(Conn {
-                        stream,
-                        inbuf: Vec::new(),
-                        outbuf: Vec::new(),
-                        close_after_flush: false,
-                    });
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    for stream in listener.incoming() {
+        if shared.stop.load(Ordering::Acquire) {
+            return;
         }
-        // Pump every connection; retain the live ones.
-        conns.retain_mut(|conn| match pump(conn, &door, &stats, &mut scratch) {
-            Pump::Idle => true,
-            Pump::Moved => {
-                moved = true;
-                true
-            }
-            Pump::Close => {
-                moved = true;
-                false
-            }
+        let Ok(stream) = stream else {
+            std::thread::sleep(ACCEPT_BACKOFF);
+            continue;
+        };
+        if failpoint::fire_err("server::accept").is_err() {
+            // Dropped before tracking: the peer sees a reset, and no
+            // server-side state was created.
+            shared.stats.accept_failures.fetch_add(1, Ordering::Relaxed);
+            continue;
+        }
+        admit(stream, shared);
+    }
+}
+
+/// Starts `stream`'s connection thread, or answers `503` at the cap.
+fn admit(stream: TcpStream, shared: &Arc<Shared>) {
+    // Held until the thread is registered, so the thread's own removal
+    // on exit always finds its entry.
+    let mut live = shared.live.lock();
+    if live.len() >= MAX_CONNECTIONS {
+        shared.stats.refused.fetch_add(1, Ordering::Relaxed);
+        let busy = Response::text(503, "too many connections\n");
+        let _ = (&stream).write_all(&busy.to_bytes(false));
+        return;
+    }
+    let timeouts = stream
+        .set_read_timeout(Some(IDLE_TIMEOUT))
+        .and_then(|()| stream.set_write_timeout(Some(IDLE_TIMEOUT)));
+    if timeouts.is_err() {
+        return;
+    }
+    let stream = Arc::new(stream);
+    let (socket, worker) = (Arc::clone(&stream), Arc::clone(shared));
+    let spawned = std::thread::Builder::new()
+        .name("sqe-conn".to_string())
+        .spawn(move || {
+            serve(&stream, &worker);
+            worker.live.lock().remove(&std::thread::current().id());
         });
-        if !moved {
-            std::thread::sleep(IDLE_SLEEP);
-        }
+    if let Ok(thread) = spawned {
+        shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
+        live.insert(thread.thread().id(), (socket, thread));
     }
 }
 
-enum Pump {
-    /// Nothing to do on this connection.
-    Idle,
-    /// Bytes moved; poll again immediately.
-    Moved,
-    /// Connection finished or failed; drop it.
-    Close,
-}
-
-fn pump(conn: &mut Conn, door: &FrontDoor, stats: &ServerStats, scratch: &mut [u8]) -> Pump {
-    // Flush pending output first: a response already produced must not
-    // wait behind new input.
-    if !conn.outbuf.is_empty() {
-        match conn.stream.write(&conn.outbuf) {
-            Ok(0) => return Pump::Close,
-            Ok(n) => {
-                conn.outbuf.drain(..n);
-                if conn.outbuf.is_empty() && conn.close_after_flush {
-                    return Pump::Close;
-                }
-                return Pump::Moved;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return Pump::Idle,
-            Err(_) => return Pump::Close,
-        }
-    }
-    if conn.close_after_flush {
-        return Pump::Close;
-    }
-    match conn.stream.read(scratch) {
-        Ok(0) => Pump::Close, // peer closed
-        Ok(n) => {
-            if failpoint::fire_err("server::read").is_err() {
-                // Connection dies mid-read: bytes discarded before any
-                // token or permit was taken.
+/// Serves one connection until the peer closes it, it idles past
+/// [`IDLE_TIMEOUT`], it sends an unparseable request or asks to close, a
+/// failpoint kills it, or the server shuts down.
+fn serve(mut stream: &TcpStream, shared: &Shared) {
+    let stats = &*shared.stats;
+    let mut inbuf = Vec::new();
+    let mut out = Vec::new();
+    let mut scratch = [0u8; 16 * 1024];
+    loop {
+        let n = match stream.read(&mut scratch) {
+            Ok(0) => return, // peer closed, or the server shut the socket
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            // Idle past the timeout.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => return,
+            Err(_) => {
                 stats.read_failures.fetch_add(1, Ordering::Relaxed);
-                return Pump::Close;
+                return;
             }
-            conn.inbuf.extend_from_slice(&scratch[..n]);
-            if conn.inbuf.len() > MAX_HEAD + MAX_BODY + 4 {
-                stats.parse_errors.fetch_add(1, Ordering::Relaxed);
-                return Pump::Close;
-            }
-            // Drain every complete pipelined request in the buffer.
-            loop {
-                match parse_request(&conn.inbuf) {
-                    Parse::Incomplete => break,
-                    Parse::Bad(why) => {
-                        stats.parse_errors.fetch_add(1, Ordering::Relaxed);
-                        let resp = Response::text(400, format!("{why}\n"));
-                        conn.outbuf.extend_from_slice(&resp.to_bytes(false));
-                        conn.close_after_flush = true;
-                        break;
-                    }
-                    Parse::Done { request, consumed } => {
-                        conn.inbuf.drain(..consumed);
-                        stats.requests.fetch_add(1, Ordering::Relaxed);
-                        let response = match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            door.handle(&request)
-                        })) {
-                            Ok(r) => r,
-                            Err(_) => {
-                                // The service layer has already
-                                // quarantined + recovered; the front
-                                // end just reports the loss.
-                                stats.handler_panics.fetch_add(1, Ordering::Relaxed);
-                                Response::text(500, "internal error\n")
-                            }
-                        };
-                        if failpoint::fire_err("server::respond").is_err() {
-                            // All accounting inside handle() is settled
-                            // (tokens spent, permits released); only the
-                            // bytes are lost.
-                            stats.respond_failures.fetch_add(1, Ordering::Relaxed);
-                            return Pump::Close;
+        };
+        if failpoint::fire_err("server::read").is_err() {
+            // Connection dies mid-read: bytes discarded before any token
+            // or permit was taken.
+            stats.read_failures.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        inbuf.extend_from_slice(&scratch[..n]);
+        if inbuf.len() > MAX_HEAD + MAX_BODY + 4 {
+            stats.parse_errors.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        // Answer every complete pipelined request in the buffer, then
+        // write the answers back in one go.
+        let mut close = false;
+        while !close {
+            match parse_request(&inbuf) {
+                Parse::Incomplete => break,
+                Parse::Bad(why) => {
+                    stats.parse_errors.fetch_add(1, Ordering::Relaxed);
+                    let resp = Response::text(400, format!("{why}\n"));
+                    out.extend_from_slice(&resp.to_bytes(false));
+                    close = true;
+                }
+                Parse::Done { request, consumed } => {
+                    inbuf.drain(..consumed);
+                    stats.requests.fetch_add(1, Ordering::Relaxed);
+                    let response = match std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        shared.door.handle(&request)
+                    })) {
+                        Ok(r) => r,
+                        Err(_) => {
+                            // The service layer has already quarantined
+                            // + recovered; the front end just reports
+                            // the loss.
+                            stats.handler_panics.fetch_add(1, Ordering::Relaxed);
+                            Response::text(500, "internal error\n")
                         }
-                        let keep_alive = !request.wants_close();
-                        conn.outbuf
-                            .extend_from_slice(&response.to_bytes(keep_alive));
-                        stats.responses.fetch_add(1, Ordering::Relaxed);
-                        if !keep_alive {
-                            conn.close_after_flush = true;
-                            break;
-                        }
+                    };
+                    if failpoint::fire_err("server::respond").is_err() {
+                        // All accounting inside handle() is settled
+                        // (tokens spent, permits released); only the
+                        // bytes are lost.
+                        stats.respond_failures.fetch_add(1, Ordering::Relaxed);
+                        return;
                     }
+                    close = request.wants_close();
+                    out.extend_from_slice(&response.to_bytes(!close));
+                    stats.responses.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            Pump::Moved
         }
-        Err(e) if e.kind() == ErrorKind::WouldBlock => Pump::Idle,
-        Err(_) => {
-            stats.read_failures.fetch_add(1, Ordering::Relaxed);
-            Pump::Close
+        if stream.write_all(&out).is_err() || close {
+            return;
         }
+        out.clear();
     }
 }

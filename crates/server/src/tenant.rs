@@ -101,8 +101,6 @@ pub enum DoorError {
     },
     /// The request body or target was malformed.
     Bad(String),
-    /// No such tenant.
-    UnknownTenant(String),
 }
 
 /// One tenant: service + live catalog + quota + in-flight pool. The
@@ -224,7 +222,7 @@ impl Tenant {
 
 /// The multi-tenant front door: a registry of [`Tenant`]s sharing one
 /// global admission pool, with an HTTP-shaped [`FrontDoor::handle`]
-/// dispatcher the reactor (and in-process tests) drive directly.
+/// dispatcher the connection threads (and in-process tests) drive directly.
 pub struct FrontDoor {
     global: Arc<AdmissionControl>,
     tenants: RwLock<BTreeMap<String, Arc<Tenant>>>,
@@ -282,7 +280,7 @@ impl FrontDoor {
 
     /// Dispatches one parsed request to a response. Total: every input —
     /// including garbage — maps to a response, never a panic (the
-    /// reactor additionally wraps this in `catch_unwind` as a backstop).
+    /// server additionally wraps this in `catch_unwind` as a backstop).
     pub fn handle(&self, req: &Request) -> Response {
         let path = req.path().to_string();
         let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
@@ -483,7 +481,6 @@ fn error_response(e: DoorError) -> Response {
             .unwrap_or_else(|_| "{\"error\":\"overloaded\"}".to_string()),
         ),
         DoorError::Bad(m) => Response::json(400, err_body(&m, None)),
-        DoorError::UnknownTenant(t) => Response::json(404, err_body("unknown tenant", Some(&t))),
     }
 }
 

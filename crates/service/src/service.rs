@@ -3,8 +3,7 @@
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
@@ -43,11 +42,6 @@ pub struct ServiceConfig {
     /// bit-identical, so mixing them across a shared cache is safe — this
     /// knob exists for memory control and engine benchmarking.
     pub dp_strategy: DpStrategy,
-    /// Worker threads for [`EstimationService::estimate_batch`]; `None`
-    /// uses [`std::thread::available_parallelism`], `Some(1)` forces the
-    /// sequential path. Parallel batches are bit-identical to sequential
-    /// ones (see the `estimate_batch` docs).
-    pub batch_threads: Option<NonZeroUsize>,
     /// Admission bound for the *budgeted* endpoints
     /// ([`EstimationService::estimate_with_budget`] and its batch
     /// sibling): at most this many requests in flight, the rest shed with
@@ -78,7 +72,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             mode: ErrorMode::Diff,
             dp_strategy: DpStrategy::Auto,
-            batch_threads: None,
             max_in_flight: 64,
             beam: BeamConfig::default(),
             backend: BackendKind::Diff,
@@ -239,15 +232,14 @@ pub struct Estimate {
     /// True when the whole-query cache answered without constructing an
     /// estimator.
     ///
-    /// This is the **only** field that depends on scheduling: in a
-    /// parallel [`EstimationService::estimate_batch`], two workers can
-    /// race the same whole-query key and both miss, or a duplicate later
-    /// in the batch can hit an entry its twin just published — so `cached`
-    /// may differ from run to run and across `batch_threads` settings.
-    /// `selectivity`, `error`, `cardinality`, and `epoch` are pure
-    /// functions of `(query, snapshot)` and are bit-identical regardless
-    /// of thread count (pinned by the `sqe-oracle` batch-determinism
-    /// suite). Don't assert on `cached` in tests that vary parallelism.
+    /// This is the **only** field that depends on request order: a query
+    /// hits only once an earlier request has published its key, and two
+    /// concurrent callers can race the same key and both miss — so
+    /// `cached` may differ from run to run when callers run
+    /// concurrently. `selectivity`, `error`, `cardinality`, and `epoch`
+    /// are pure functions of `(query, snapshot)` and are bit-identical
+    /// whoever asks first. Don't assert on `cached` in tests that race
+    /// callers.
     pub cached: bool,
     /// How the answer was obtained. The unbudgeted endpoints and every
     /// in-budget request report [`Quality::Full`] — or [`Quality::Beam`]
@@ -495,68 +487,17 @@ impl EstimationService {
 
     /// Estimates a batch against one consistent snapshot: every query in
     /// the slice is answered by the same catalog generation even if a
-    /// rebuild lands mid-batch.
-    ///
-    /// With [`ServiceConfig::batch_threads`] > 1 the batch fans out over a
-    /// scoped worker pool sharing that one snapshot (and its cross-query
-    /// cache). Each worker writes its query's [`Estimate`] into a dedicated
-    /// output slot claimed through an atomic cursor, so the returned vector
-    /// is always in input order and every `selectivity` / `error` /
-    /// `cardinality` / `epoch` is bit-identical to the sequential path —
-    /// estimates are pure functions of `(query, snapshot)` and the shared
-    /// cache only memoizes such values. The sole scheduling-dependent field
-    /// is the [`Estimate::cached`] flag (two workers can race the same
-    /// whole-query key and both compute it). Per-query metrics are
-    /// reported from the workers as usual.
+    /// rebuild lands mid-batch. The queries run in input order on the
+    /// caller's thread, each exactly as [`EstimationService::estimate`]
+    /// would answer it against that snapshot; concurrency comes from
+    /// concurrent callers, not from within a batch.
     pub fn estimate_batch(&self, queries: &[SpjQuery]) -> Vec<Estimate> {
         self.metrics.batch();
         let snapshot = self.snapshot();
         let unlimited = Budget::unlimited();
-        self.fan_out(queries, |q| self.estimate_in(&snapshot, q, &unlimited))
-    }
-
-    /// Runs `each` over `queries` on up to [`ServiceConfig::batch_threads`]
-    /// scoped workers (default: host parallelism, never more than one
-    /// worker per query) and returns the answers in input order.
-    fn fan_out(
-        &self,
-        queries: &[SpjQuery],
-        each: impl Fn(&SpjQuery) -> Estimate + Sync,
-    ) -> Vec<Estimate> {
-        let workers = self
-            .config
-            .batch_threads
-            .map_or_else(
-                || std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
-                NonZeroUsize::get,
-            )
-            .min(queries.len());
-        if workers < 2 {
-            return queries.iter().map(each).collect();
-        }
-        let slots: Vec<Mutex<Option<Estimate>>> =
-            queries.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let (each, next, slots) = (&each, &next, &slots);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(move || loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= queries.len() {
-                        break;
-                    }
-                    let e = each(&queries[idx]);
-                    *slots[idx].lock().expect("estimate slot poisoned") = Some(e);
-                });
-            }
-        });
-        slots
+        queries
             .iter()
-            .map(|slot| {
-                slot.lock()
-                    .expect("estimate slot poisoned")
-                    .expect("every batch index claimed by exactly one worker")
-            })
+            .map(|q| self.estimate_in(&snapshot, q, &unlimited))
             .collect()
     }
 
@@ -609,8 +550,9 @@ impl EstimationService {
     /// query; a shared wall-clock cutoff is expressed with a
     /// [`sqe_core::CancelToken`] the caller trips). The batch takes a
     /// single admission permit — shed decisions are per call, not per
-    /// query — and every worker is panic-isolated exactly like
-    /// [`EstimationService::estimate_with_budget`].
+    /// query — and every query is panic-isolated exactly like
+    /// [`EstimationService::estimate_with_budget`]. Answers come back in
+    /// input order, computed on the caller's thread.
     pub fn estimate_batch_with_budget(
         &self,
         queries: &[SpjQuery],
@@ -621,7 +563,10 @@ impl EstimationService {
         };
         self.metrics.batch();
         let snapshot = self.snapshot();
-        Ok(self.fan_out(queries, |q| self.estimate_guarded(&snapshot, q, budget)))
+        Ok(queries
+            .iter()
+            .map(|q| self.estimate_guarded(&snapshot, q, budget))
+            .collect())
     }
 
     /// Reports a shed and builds the `Overloaded` error with its
@@ -663,6 +608,7 @@ impl EstimationService {
                     &snapshot.sits,
                     query,
                 );
+                self.metrics.rung_attempted(Quality::Independence);
                 self.metrics
                     .rung_answered(Quality::Independence, Some(DegradeReason::Panic));
                 let estimate = Estimate {

@@ -43,7 +43,7 @@
 //! | [`core`] | `sqe-core` | conditional selectivity, SITs, `getSelectivity`, GVM |
 //! | [`optimizer`] | `sqe-optimizer` | mini-Cascades memo + §4 coupled estimation |
 //! | [`service`] | `sqe-service` | concurrent estimation service: snapshots, sharded cross-query cache, metrics |
-//! | [`server`] | `sqe-server` | HTTP/JSON front end: multi-tenant front door, quotas, reactor, /metrics |
+//! | [`server`] | `sqe-server` | HTTP/JSON front end: multi-tenant front door, quotas, thread-per-connection server, /metrics |
 //! | [`oracle`] | `sqe-oracle` | ground-truth exact executor, differential invariants, accuracy harness + gate |
 //!
 //! Run the paper's experiments with the binaries in `sqe-bench`

@@ -84,7 +84,6 @@ fn chaos_service(db: &Arc<Database>, catalog: SitCatalog) -> EstimationService {
         Arc::clone(db),
         catalog,
         ServiceConfig {
-            batch_threads: std::num::NonZeroUsize::new(2),
             max_in_flight: 16,
             ..ServiceConfig::default()
         },
@@ -700,6 +699,7 @@ fn panic_after_the_answer_counts_the_request_once() {
     let at = |q: Quality| Quality::ALL.iter().position(|&t| t == q).expect("tier");
     assert_eq!(stats.rung_attempted[at(Quality::Full)], 1);
     assert_eq!(stats.rung_answered[at(Quality::Full)], 1);
+    assert_eq!(stats.rung_attempted[at(Quality::Independence)], 1);
     assert_eq!(stats.rung_answered[at(Quality::Independence)], 1);
     assert_eq!(stats.degraded_by(DegradeReason::Panic), 1);
     assert_eq!(stats.quarantines, 1);

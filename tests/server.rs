@@ -1,8 +1,9 @@
 //! Integration suite for the multi-tenant HTTP front end (`sqe-server`):
 //! wire protocol, the three admission gates and their retry hints,
 //! quota/permit leak regressions under injected mid-request panics,
-//! per-tenant catalog isolation under concurrent ingest, and exact
-//! request accounting with the reactor failpoints armed.
+//! per-tenant catalog isolation under concurrent ingest, exact request
+//! accounting with the server failpoints armed, cross-connection
+//! isolation of a stalled ingest, the connection cap, and shutdown.
 //!
 //! Failpoint state is process-global, so every test here takes the
 //! shared serial guard even when it arms nothing — an armed
@@ -10,6 +11,7 @@
 //! leak into the unrelated ones.
 
 use std::io::{Read as _, Write as _};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -684,13 +686,13 @@ const fn batches_len() -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Reactor failpoints: lost requests, exact accounting
+// Server failpoints: lost requests, exact accounting
 // ---------------------------------------------------------------------
 
 /// One HTTP exchange over loopback; `None` when the connection was
 /// reset/closed without a complete response (an injected loss).
 fn tcp_roundtrip(addr: std::net::SocketAddr, raw: &[u8]) -> Option<String> {
-    let mut stream = std::net::TcpStream::connect(addr).ok()?;
+    let mut stream = TcpStream::connect(addr).ok()?;
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .ok()?;
@@ -743,7 +745,7 @@ fn reactor_failpoints_lose_requests_but_never_accounting() {
         assert!(lost[i] > 0, "{site}: armed failpoint never fired");
     }
 
-    // Drain: the reactor answers cleanly again after disarming.
+    // Drain: the server answers cleanly again after disarming.
     for _ in 0..4 {
         let resp = tcp_roundtrip(addr, raw.as_bytes()).expect("clean after disarm");
         assert!(resp.contains("200 OK"));
@@ -782,4 +784,188 @@ fn reactor_failpoints_lose_requests_but_never_accounting() {
         0,
         "global permit leaked"
     );
+}
+
+// ---------------------------------------------------------------------
+// Connections: isolation of a stalled ingest, the cap, and shutdown
+// ---------------------------------------------------------------------
+
+/// A keep-alive `POST` of `body` to `path`.
+fn post(path: &str, body: &str) -> Vec<u8> {
+    format!(
+        "POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+/// Reads one response off a keep-alive connection: its status and body.
+fn read_response(mut stream: &TcpStream) -> (u16, String) {
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = std::str::from_utf8(&buf[..end]).expect("UTF-8 head");
+            let len: usize = head
+                .lines()
+                .find_map(|l| l.strip_prefix("Content-Length: "))
+                .and_then(|v| v.parse().ok())
+                .expect("Content-Length");
+            if buf.len() >= end + 4 + len {
+                let status = head[9..12].parse().expect("status code");
+                let body = String::from_utf8(buf[end + 4..end + 4 + len].to_vec());
+                return (status, body.expect("UTF-8 body"));
+            }
+        }
+        let n = stream.read(&mut chunk).expect("read a response");
+        assert!(n > 0, "connection closed mid-response");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// Spins until `done` holds; fails after 10 s.
+fn wait_until(done: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !done() {
+        assert!(start.elapsed() < Duration::from_secs(10), "timed out");
+        std::thread::yield_now();
+    }
+}
+
+fn connect(addr: std::net::SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    stream
+}
+
+/// One connection's ingest, stalled 500 ms in `delta::apply_batch`, holds
+/// only that connection: a warmed estimate for another tenant on a second
+/// connection answers while the ingest is still running, within 50 ms.
+#[test]
+fn stalled_ingest_on_one_connection_never_delays_another() {
+    let _guard = failpoint::test_serial_guard();
+    failpoint::disarm_all();
+
+    let door = Arc::new(FrontDoor::new(0));
+    let a = add_small_tenant(&door, "a", 1, open_quota());
+    add_small_tenant(&door, "b", 2, open_quota());
+    let server = sqe::server::spawn(Arc::clone(&door), "127.0.0.1:0").expect("bind");
+    let (ingest, estimate) = (connect(server.addr()), connect(server.addr()));
+    let estimate_req = post("/v1/b/estimate", &estimate_body(&small_queries()[0], None));
+    (&estimate).write_all(&estimate_req).expect("send");
+    assert_eq!(read_response(&estimate).0, 200, "warm-up estimate");
+
+    let batch = serde_json::to_string(&small_batches(1, 10, 0xB0B)[0]).expect("batch");
+    failpoint::arm_with("delta::apply_batch", Action::Sleep(500), 1, Some(1), 11);
+    let sent = Instant::now();
+    (&ingest)
+        .write_all(&post("/v1/a/ingest", &batch))
+        .expect("send");
+    // The ingest takes its quota token right before the stall.
+    wait_until(|| a.bucket().admitted() == 1);
+    let asked = Instant::now();
+    (&estimate).write_all(&estimate_req).expect("send");
+    let (status, body) = read_response(&estimate);
+    let round_trip = asked.elapsed();
+    let epoch_meanwhile = a.service().snapshot().epoch();
+    let (ingest_status, _) = read_response(&ingest);
+    let ingested = sent.elapsed();
+    failpoint::disarm_all();
+
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"cached\":true"), "warmed estimate: {body}");
+    assert_eq!(epoch_meanwhile, 0, "the estimate waited for the ingest");
+    assert_eq!(ingest_status, 200);
+    assert_eq!(a.service().snapshot().epoch(), 1);
+    assert!(
+        ingested >= Duration::from_millis(500),
+        "the stall never fired"
+    );
+    assert!(
+        round_trip < Duration::from_millis(50),
+        "estimate round trip {round_trip:?} behind a stalled ingest"
+    );
+    eprintln!("estimate round trip behind a stalled ingest: {round_trip:?}");
+}
+
+/// At `MAX_CONNECTIONS` live connections the next one is answered `503`
+/// and closed, and once a connection ends its slot serves again.
+#[test]
+fn connections_past_the_cap_are_refused_until_a_slot_frees() {
+    use sqe::server::server::MAX_CONNECTIONS;
+    let _guard = failpoint::test_serial_guard();
+    failpoint::disarm_all();
+
+    let server = sqe::server::spawn(Arc::new(FrontDoor::new(0)), "127.0.0.1:0").expect("bind");
+    let stats = Arc::clone(server.stats());
+    let counts = || {
+        (
+            stats.accepted.load(Ordering::Relaxed),
+            stats.refused.load(Ordering::Relaxed),
+        )
+    };
+    let mut held: Vec<_> = (0..MAX_CONNECTIONS)
+        .map(|_| connect(server.addr()))
+        .collect();
+    wait_until(|| counts().0 == MAX_CONNECTIONS as u64);
+    let mut refused = connect(server.addr());
+    let mut text = String::new();
+    refused
+        .read_to_string(&mut text)
+        .expect("503, then end of stream");
+    assert!(text.starts_with("HTTP/1.1 503"), "{text}");
+    assert_eq!(counts(), (MAX_CONNECTIONS as u64, 1));
+
+    // The freed slot: retry until the server admits instead of refusing.
+    drop(held.pop());
+    let client = loop {
+        let before = counts();
+        let client = connect(server.addr());
+        wait_until(|| counts() != before);
+        if counts().0 > before.0 {
+            break client;
+        }
+    };
+    (&client)
+        .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
+        .expect("send");
+    assert_eq!(read_response(&client).0, 200);
+}
+
+/// `shutdown` and `Drop` return within a second while an idle keep-alive
+/// client is connected, bound to loopback and to the unspecified address
+/// (where the blocking `accept` is woken through loopback), and the
+/// client then reads end of stream.
+#[test]
+fn shutdown_and_drop_close_idle_clients_promptly() {
+    let _guard = failpoint::test_serial_guard();
+    failpoint::disarm_all();
+
+    let door = Arc::new(FrontDoor::new(0));
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        for by_drop in [false, true] {
+            let server = sqe::server::spawn(Arc::clone(&door), bind).expect("bind");
+            let mut client = connect(([127, 0, 0, 1], server.addr().port()).into());
+            client
+                .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
+                .expect("send");
+            assert_eq!(read_response(&client).0, 200);
+
+            let start = Instant::now();
+            if by_drop {
+                drop(server);
+            } else {
+                server.shutdown();
+            }
+            let took = start.elapsed();
+            assert!(
+                took < Duration::from_secs(1),
+                "{bind}, by_drop={by_drop}: took {took:?}"
+            );
+            let mut rest = Vec::new();
+            assert_eq!(client.read_to_end(&mut rest).expect("end of stream"), 0);
+        }
+    }
 }
