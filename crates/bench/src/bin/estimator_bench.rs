@@ -12,6 +12,15 @@
 //! samples; memo/peel entry counts come from the final sample and describe
 //! the size of the subset-lattice walk.
 //!
+//! Each dense row also runs its queries once more, each on a fresh
+//! estimator attached to **one shared cache** (`ShardedCache::new(16,
+//! 4096)`, the shape of a service snapshot's cache) kept for the whole
+//! row: the cost of the shared cache's miss path — every link the walk
+//! computes is looked up, inserted and, once a shard fills, evicts an
+//! older entry. The row reports that median beside the cache-free one,
+//! with the cache's hit fraction and eviction count; every cache-attached
+//! answer is asserted bit-identical to the cache-free one.
+//!
 //! A second sweep covers the widths the exact engines cannot reach: for
 //! each `n` in `--beam-ns` (default 20, 24, 28, 32 — past the dense
 //! ceiling, where `Auto` routes to the beam) the bench times the
@@ -38,11 +47,12 @@
 use std::time::Instant;
 
 use serde::Serialize;
-use sqe_bench::report::{render_table, round_us, write_json_root};
+use sqe_bench::report::{median, render_table, round_us, write_json_root};
 use sqe_bench::{Args, Setup, SetupConfig};
 use sqe_core::{BeamConfig, BeamStats, DpStrategy, ErrorMode, SelectivityEstimator};
 use sqe_datagen::{generate_workload, WorkloadConfig};
 use sqe_engine::SpjQuery;
+use sqe_service::ShardedCache;
 
 /// One `n` of the exact-engine sweep: cold latency of the dense fill plus
 /// the lattice footprint of the final sample.
@@ -59,6 +69,13 @@ struct Row {
     memo_entries: usize,
     peel_entries: usize,
     vm_calls: u64,
+    /// Median over one sample per query with the row's shared cache
+    /// attached.
+    cached_median_us: f64,
+    /// The shared cache's hit fraction over those samples.
+    cache_hit_frac: f64,
+    /// Entries the shared cache evicted over those samples.
+    cache_evictions: u64,
 }
 
 /// One `(n, width)` cell of the beam sweep: cold serial latency of the
@@ -94,11 +111,6 @@ struct BeamRow {
 struct Report {
     rows: Vec<Row>,
     beam: Vec<BeamRow>,
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
 }
 
 /// Comma-separated `usize` list option.
@@ -151,6 +163,8 @@ fn main() {
         let pool = setup.pool(&workload, pool_i);
 
         let mut samples: Vec<f64> = Vec::with_capacity(queries * reps);
+        let mut cached_samples: Vec<f64> = Vec::with_capacity(queries);
+        let cache = ShardedCache::new(16, 4096);
         let mut footprint = (0, 0, 0);
         for query in &workload {
             let mut reference: Option<(u64, (usize, usize, u64))> = None;
@@ -174,11 +188,27 @@ fn main() {
                     ),
                 }
             }
+            let start = Instant::now();
+            let mut est =
+                SelectivityEstimator::new(&setup.snowflake.db, query, &pool, ErrorMode::Diff)
+                    .with_shared_cache(&cache);
+            let sel = std::hint::black_box(est.selectivity());
+            cached_samples.push(start.elapsed().as_secs_f64() * 1e6);
+            assert_eq!(
+                reference.map(|r| r.0),
+                Some(sel.to_bits()),
+                "n={n}: the shared cache changed an answer"
+            );
         }
         let median_us = median(&mut samples);
+        let cached_median_us = median(&mut cached_samples);
+        let counters = cache.counters();
         eprintln!(
-            "n={n}: median {median_us:.1} µs over {} samples",
-            samples.len()
+            "n={n}: median {median_us:.1} µs over {} samples, {cached_median_us:.1} µs \
+             with the shared cache ({:.2}% hits, {} evictions)",
+            samples.len(),
+            100.0 * counters.hit_rate(),
+            counters.evictions
         );
         rows.push(Row {
             n,
@@ -192,6 +222,9 @@ fn main() {
             memo_entries: footprint.0,
             peel_entries: footprint.1,
             vm_calls: footprint.2,
+            cached_median_us: round_us(cached_median_us),
+            cache_hit_frac: counters.hit_rate(),
+            cache_evictions: counters.evictions,
         });
     }
 
@@ -291,6 +324,9 @@ fn main() {
                 r.memo_entries.to_string(),
                 r.peel_entries.to_string(),
                 r.vm_calls.to_string(),
+                format!("{:.1}", r.cached_median_us),
+                format!("{:.2}%", 100.0 * r.cache_hit_frac),
+                r.cache_evictions.to_string(),
             ]
         })
         .collect();
@@ -304,7 +340,10 @@ fn main() {
                 "max µs",
                 "memo",
                 "peel",
-                "vm calls"
+                "vm calls",
+                "cached µs",
+                "cache hits",
+                "evictions"
             ],
             &table
         )

@@ -3,24 +3,33 @@
 //! cache, plus the service's own metrics snapshot.
 //!
 //! Cold: every thread estimates a disjoint slice of the workload against a
-//! freshly installed snapshot (nothing cached; threads still share link /
+//! freshly built service (nothing cached; threads still share link /
 //! join-product work through the sharded cache as it fills). Warm: every
 //! thread then replays the *full* workload `reps` times against the now-hot
 //! snapshot, modeling concurrent sessions issuing recurring query shapes.
 //!
+//! Each thread count gets a service of its own, and `--rounds` repeats
+//! the sweep, reversing the order of the counts every other round: a
+//! count measured second on a shared service read 0.82–0.97× of the same
+//! count measured first, so a single pass mixes run order into the
+//! comparison. Rows report medians over the rounds, and
+//! `warm_speedup_vs_1` is the median of same-round ratios against the
+//! first count listed.
+//!
 //! A final **degraded phase** runs budgeted estimates at three deadlines
-//! on a cold cache and reports latency and which ladder rung answered.
+//! on a cold cache and reports latency, which ladder rung answered, and
+//! how many rungs the ladder skipped as unable to finish in their slice.
 //!
 //! ```text
 //! cargo run --release -p sqe-bench --bin service_bench \
-//!     [-- --queries 60 --joins 4 --pool 2 --threads 1,2,4,8 --reps 3]
+//!     [-- --queries 60 --joins 4 --pool 2 --threads 1,2,4,8 --reps 3 --rounds 1]
 //! ```
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
-use sqe_bench::report::{render_table, round_us, write_json};
+use sqe_bench::report::{median, render_table, round_us, write_json};
 use sqe_bench::{Args, Setup, SetupConfig};
 use sqe_engine::SpjQuery;
 use sqe_service::{Budget, EstimationService, Quality, ServiceConfig};
@@ -43,10 +52,13 @@ struct DegradedRow {
     pruned: u64,
     greedy: u64,
     independence: u64,
+    /// Rungs skipped as unable to finish in their slice.
+    skipped: u64,
 }
 
 #[derive(Serialize)]
 struct Report {
+    rounds: usize,
     concurrency: Vec<Row>,
     degraded: Vec<DegradedRow>,
 }
@@ -75,6 +87,7 @@ fn main() {
     let joins: usize = args.get("joins", 4);
     let pool_i: usize = args.get("pool", 2);
     let reps: usize = args.get("reps", 3);
+    let rounds: usize = args.get("rounds", 1).max(1);
     let thread_counts: Vec<usize> = args
         .get_str("threads", "1,2,4,8")
         .split(',')
@@ -85,37 +98,57 @@ fn main() {
     let workload = setup.workload(joins);
     let pool = setup.pool(&workload, pool_i);
     let db = Arc::new(setup.snowflake.db);
-    let svc = EstimationService::new(Arc::clone(&db), pool.clone(), ServiceConfig::default());
+    let new_service =
+        || EstimationService::new(Arc::clone(&db), pool.clone(), ServiceConfig::default());
 
-    let mut rows: Vec<Row> = Vec::new();
-    for &threads in &thread_counts {
-        // Fresh snapshot -> cold cache. Threads split the workload.
-        svc.install(pool.clone(), None);
-        let cold_streams: Vec<Vec<&SpjQuery>> = (0..threads)
-            .map(|t| {
-                workload
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % threads == t)
-                    .map(|(_, q)| q)
-                    .collect()
-            })
-            .collect();
-        let cold_eps = run(&svc, &cold_streams, 1);
+    // `measured[i][round]`: (cold, warm) est/s of `thread_counts[i]`.
+    let mut measured: Vec<Vec<(f64, f64)>> = vec![Vec::new(); thread_counts.len()];
+    let mut last_stats = None;
+    for round in 0..rounds {
+        let mut order: Vec<usize> = (0..thread_counts.len()).collect();
+        if round % 2 == 1 {
+            order.reverse();
+        }
+        for i in order {
+            let threads = thread_counts[i];
+            // A fresh service: cold cache, nothing left by another count.
+            let svc = new_service();
+            let cold_streams: Vec<Vec<&SpjQuery>> = (0..threads)
+                .map(|t| {
+                    workload
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| i % threads == t)
+                        .map(|(_, q)| q)
+                        .collect()
+                })
+                .collect();
+            let cold_eps = run(&svc, &cold_streams, 1);
 
-        // Same snapshot, now hot: every thread replays the full stream.
-        let warm_streams: Vec<Vec<&SpjQuery>> =
-            (0..threads).map(|_| workload.iter().collect()).collect();
-        let warm_eps = run(&svc, &warm_streams, reps);
-
-        let base = rows.first().map_or(warm_eps, |r: &Row| r.warm_eps);
-        rows.push(Row {
-            threads,
-            cold_eps,
-            warm_eps,
-            warm_speedup_vs_1: warm_eps / base,
-        });
+            // Same snapshot, now hot: every thread replays the full stream.
+            let warm_streams: Vec<Vec<&SpjQuery>> =
+                (0..threads).map(|_| workload.iter().collect()).collect();
+            let warm_eps = run(&svc, &warm_streams, reps);
+            measured[i].push((cold_eps, warm_eps));
+            last_stats = Some(svc.stats());
+        }
     }
+    let rows: Vec<Row> = thread_counts
+        .iter()
+        .zip(&measured)
+        .map(|(&threads, runs)| Row {
+            threads,
+            cold_eps: median(&mut runs.iter().map(|r| r.0).collect::<Vec<_>>()),
+            warm_eps: median(&mut runs.iter().map(|r| r.1).collect::<Vec<_>>()),
+            warm_speedup_vs_1: median(
+                &mut runs
+                    .iter()
+                    .zip(&measured[0])
+                    .map(|(r, base)| r.1 / base.1)
+                    .collect::<Vec<_>>(),
+            ),
+        })
+        .collect();
 
     println!("service_bench — estimates/sec, cold vs warm cross-query cache\n");
     let table: Vec<Vec<String>> = rows
@@ -137,8 +170,10 @@ fn main() {
         )
     );
 
-    println!("\nservice metrics after the final round:");
-    println!("{}", svc.stats());
+    println!("\nservice metrics of the last count measured:");
+    if let Some(stats) = last_stats {
+        println!("{stats}");
+    }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("\nhost parallelism: {cores} core(s) available to this process");
 
@@ -154,7 +189,7 @@ fn main() {
     ];
     let mut degraded_rows: Vec<DegradedRow> = Vec::new();
     for (label, deadline) in deadlines {
-        let svc = EstimationService::new(Arc::clone(&db), pool.clone(), ServiceConfig::default());
+        let svc = new_service();
         let budget =
             deadline.map_or_else(Budget::unlimited, |d| Budget::unlimited().with_deadline(d));
         let mut lat_us: Vec<f64> = Vec::with_capacity(workload.len());
@@ -192,6 +227,7 @@ fn main() {
             pruned: mix[2],
             greedy: mix[3],
             independence: mix[4],
+            skipped: svc.stats().rung_skipped.iter().sum(),
         });
     }
     let degraded_table: Vec<Vec<String>> = degraded_rows
@@ -206,18 +242,23 @@ fn main() {
                 r.pruned.to_string(),
                 r.greedy.to_string(),
                 r.independence.to_string(),
+                r.skipped.to_string(),
             ]
         })
         .collect();
     println!(
         "{}",
         render_table(
-            &["deadline", "p50 µs", "p99 µs", "full", "beam", "pruned", "greedy", "indep"],
+            &[
+                "deadline", "p50 µs", "p99 µs", "full", "beam", "pruned", "greedy", "indep",
+                "skipped"
+            ],
             &degraded_table
         )
     );
 
     let report = Report {
+        rounds,
         concurrency: rows,
         degraded: degraded_rows,
     };

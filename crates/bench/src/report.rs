@@ -63,6 +63,12 @@ pub fn round_us(x: f64) -> f64 {
     (x * 1000.0).round() / 1000.0
 }
 
+/// The upper median of `samples`, which it sorts in place.
+pub fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 /// Resolves the `results/` directory (repo root when run via cargo,
 /// current dir otherwise) and ensures it exists.
 pub fn results_dir() -> PathBuf {

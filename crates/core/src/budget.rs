@@ -16,6 +16,13 @@
 //! counter crosses a [`POLL_EVERY`] boundary, so the no-deadline and
 //! in-budget paths stay a couple of relaxed atomics per mask.
 //!
+//! The mask count is known before a dense fill starts
+//! ([`crate::SelectivityEstimator::dense_work`] counts it exactly), and it
+//! is a lower bound on what the fill charges: a quota below it cannot be
+//! met. The ladder skips such a rung instead of running it to the trip
+//! (see [`crate::ladder`]). Peel links are not counted ahead: which ones a
+//! fill reaches is only known by walking its submasks.
+//!
 //! Trip state is sticky and first-reason-wins: once tripped, every
 //! subsequent [`BudgetMeter::charge`]/[`BudgetMeter::check`] returns the
 //! same reason, so every holder of the shared meter observes one coherent

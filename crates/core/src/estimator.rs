@@ -147,6 +147,26 @@ pub struct EstimatorStats {
     /// manipulation" component; the rest of wall time is "decomposition
     /// analysis").
     pub histogram_time: Duration,
+    /// Submask iterations the dense fill's non-separable walks ran,
+    /// tripped walks included — the unit of the ladder's per-rung cost
+    /// rates (see [`DenseWork`]). Zero on the recursive and beam engines.
+    pub submasks: u64,
+}
+
+/// The exact work a dense fill does before it answers, counted on the
+/// estimator's own [`ComponentTable`] by
+/// [`SelectivityEstimator::dense_work`]. Lemma 1 bounds
+/// `getSelectivity` at O(3ⁿ); for one query the bound is this count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DenseWork {
+    /// Lattice masks the fill solves — one budget work unit each, so a
+    /// quota below this count cannot be met.
+    pub masks: u64,
+    /// Submask iterations its non-separable walks run: `2^|m| − 1` for
+    /// every non-separable mask `m` it solves. §3.4 pruning skips
+    /// decompositions inside the walk, not iterations of it, so the count
+    /// holds with and without pruning.
+    pub submasks: u64,
 }
 
 /// Builds a [`LinkCtx`] from the estimator's immutable fields. A macro —
@@ -198,6 +218,9 @@ pub struct SelectivityEstimator<'a> {
     /// a field of its own so the subset walk can borrow it next to the
     /// memo tables — see [`crate::link`].
     links: LinkState,
+    /// Submask iterations walked by the dense fill (see
+    /// [`EstimatorStats::submasks`]).
+    submasks: u64,
     /// Dense subset memo (flat `2ⁿ` table), present iff the resolved
     /// strategy is dense. Exactly one of `memo_dense`/`memo_sparse` holds
     /// this query's `Sel(P)` values.
@@ -276,6 +299,7 @@ impl<'a> SelectivityEstimator<'a> {
             sit_cond_masks,
             sit2_index: HashMap::new(),
             links: LinkState::new(),
+            submasks: 0,
             memo_dense: None,
             memo_sparse: FlatMemo::new(),
             comp_table: None,
@@ -470,7 +494,49 @@ impl<'a> SelectivityEstimator<'a> {
                 .map_or(self.memo_sparse.len(), DenseMemo::len),
             peel_entries: self.peel_memo.len(),
             histogram_time: self.links.hist_time,
+            submasks: self.submasks,
         }
+    }
+
+    /// The exact work a dense fill of `p` does from the current memo
+    /// state, without doing it: the masks [`Self::try_get_selectivity`]
+    /// would solve and the submask iterations it would walk. `None` unless
+    /// the dense engine runs this query. Costs one pass over `p`'s
+    /// sub-lattice, whose standard decompositions land in the estimator's
+    /// [`ComponentTable`], where the fill reads them again.
+    pub fn dense_work(&mut self, p: PredSet) -> Option<DenseWork> {
+        let (memo, table) = (self.memo_dense.as_ref()?, self.comp_table.as_mut()?);
+        let ctx = &self.ctx;
+        let mut work = DenseWork::default();
+        if p.is_empty() || memo.get(p.0).is_some() {
+            return Some(work);
+        }
+        // Mirrors `fill_dense`: each unsolved component's sub-lattice,
+        // skipping masks already memoized. Ascending submask order finds
+        // every part of `m` already in the table.
+        let mut rest = p;
+        while !rest.is_empty() {
+            let c = table.ensure(ctx, rest).0;
+            rest = rest.minus(PredSet(c));
+            if memo.get(c).is_some() {
+                continue;
+            }
+            let mut m = 0u32;
+            loop {
+                m = m.wrapping_sub(c) & c;
+                if m == 0 {
+                    break;
+                }
+                if memo.get(m).is_some() {
+                    continue;
+                }
+                work.masks += 1;
+                if table.ensure(ctx, PredSet(m)).0 == m {
+                    work.submasks += (1u64 << m.count_ones()) - 1;
+                }
+            }
+        }
+        Some(work)
     }
 
     /// Most accurate selectivity estimate for the full query.
@@ -632,6 +698,7 @@ impl<'a> SelectivityEstimator<'a> {
         let links = &mut self.links;
         let oracle = &mut self.oracle;
         let meter = self.meter.as_deref();
+        let walked = &mut self.submasks;
         let mut poll = abort_poll(meter);
         let mut best_err = f64::INFINITY;
         let mut best_sel = DEFAULT_RANGE_SEL.powi(m.len() as i32);
@@ -639,7 +706,10 @@ impl<'a> SelectivityEstimator<'a> {
         for p_prime in m.subsets() {
             iters = iters.wrapping_add(1);
             if iters.is_multiple_of(POLL_STRIDE) {
-                poll()?;
+                if let Err(e) = poll() {
+                    *walked += u64::from(iters);
+                    return Err(e);
+                }
             }
             let q = m.minus(p_prime);
             if let Some(table) = prune {
@@ -677,6 +747,7 @@ impl<'a> SelectivityEstimator<'a> {
                 best_sel = (sel_f * sel_q).clamp(0.0, 1.0);
             }
         }
+        *walked += u64::from(iters);
         Ok((best_sel, best_err))
     }
 
@@ -1672,6 +1743,106 @@ mod tests {
             rec.chosen_decomposition(all),
             "both engines commit the identical argmin chain"
         );
+    }
+
+    /// r(a, x) ⋈ s(y, b) ⋈ t(z, c): a chain of three tables, so random
+    /// predicate picks mix separable and non-separable masks.
+    fn chain_db() -> Database {
+        let mut db = skewed_db();
+        db.add_table(
+            TableBuilder::new("t")
+                .column("z", vec![1, 2, 2, 3, 5, 6, 6])
+                .column("c", vec![7, 7, 8, 9, 9, 9, 4])
+                .build()
+                .unwrap(),
+        );
+        db
+    }
+
+    /// Twelve distinct predicates over [`chain_db`]: both joins and ten
+    /// filters.
+    fn chain_pool() -> Vec<Predicate> {
+        let mut pool = vec![
+            Predicate::join(c(0, 1), c(1, 0)),
+            Predicate::join(c(1, 1), c(2, 0)),
+        ];
+        for (col, v) in [
+            (c(0, 0), 1),
+            (c(0, 1), 20),
+            (c(1, 0), 10),
+            (c(1, 1), 3),
+            (c(2, 0), 2),
+            (c(2, 1), 9),
+        ] {
+            pool.push(Predicate::filter(col, CmpOp::Le, v));
+        }
+        for (col, v) in [(c(0, 0), 2), (c(1, 1), 5), (c(2, 1), 7), (c(2, 0), 6)] {
+            pool.push(Predicate::filter(col, CmpOp::Ge, v));
+        }
+        pool
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `dense_work` counts exactly what the dense fill then does —
+        /// masks solved (each charged one budget unit; every other unit
+        /// is a fresh peel) and submask iterations walked — from a fresh
+        /// estimator or after a sub-query was solved first, with and
+        /// without §3.4 pruning.
+        #[test]
+        fn dense_work_counts_what_the_fill_does(
+            picks in 1u32..1 << 12,
+            first in proptest::prelude::any::<u32>(),
+            pruned in proptest::prelude::any::<bool>(),
+        ) {
+            let db = chain_db();
+            let pool = chain_pool();
+            let mut cat = full_catalog(&db);
+            for col in [c(2, 0), c(2, 1)] {
+                cat.add(Sit::build_base(&db, col).unwrap());
+                cat.add(Sit::build(&db, col, vec![pool[1]]).unwrap());
+            }
+            // At most ten of the pool's predicates, chosen by `picks`.
+            let preds = PredSet(picks).iter().take(10).map(|i| pool[i]).collect();
+            let q = SpjQuery::new(vec![TableId(0), TableId(1), TableId(2)], preds).unwrap();
+            let meter = Arc::new(BudgetMeter::from_parts(None, Some(u64::MAX), None));
+            let mut est = SelectivityEstimator::new(&db, &q, &cat, ErrorMode::Diff)
+                .with_budget_meter(meter.clone());
+            if pruned {
+                est = est.with_sit_driven_pruning();
+            }
+            let all = est.context().all();
+            est.get_selectivity(PredSet(first & all.0));
+            let before = (est.stats(), meter.spent());
+            let work = est.dense_work(all).expect("n ≤ 16 runs the dense engine");
+            est.get_selectivity(all);
+            let after = (est.stats(), meter.spent());
+            let peels = (after.0.peel_entries - before.0.peel_entries) as u64;
+            proptest::prop_assert_eq!(work.masks, after.1 - before.1 - peels);
+            proptest::prop_assert_eq!(work.submasks, after.0.submasks - before.0.submasks);
+            // A second count finds nothing left to do.
+            proptest::prop_assert_eq!(est.dense_work(all), Some(DenseWork::default()));
+        }
+    }
+
+    #[test]
+    fn dense_work_is_none_off_the_dense_engine() {
+        let db = skewed_db();
+        let q = query(&db);
+        let cat = full_catalog(&db);
+        for strategy in [DpStrategy::Recursive, DpStrategy::Beam] {
+            let mut est =
+                SelectivityEstimator::new(&db, &q, &cat, ErrorMode::Diff).with_strategy(strategy);
+            let all = est.context().all();
+            assert_eq!(est.dense_work(all), None, "{strategy:?}");
+            est.get_selectivity(all);
+            assert_eq!(
+                est.stats().submasks,
+                0,
+                "{strategy:?} walks no dense lattice"
+            );
+        }
     }
 
     #[test]

@@ -33,7 +33,10 @@ const EMPTY_KEY: u64 = u64::MAX;
 const MIN_CAPACITY: usize = 64;
 
 /// Dense subset memo: value table indexed directly by predicate-set mask
-/// plus a validity bitmap.
+/// plus a validity bitmap. The value table is allocated on the first
+/// [`DenseMemo::set`]: an allocator that has freed a large block before
+/// hands the next one out of its heap and must zero it, so an estimator
+/// built and dropped unused costs only the bitmap.
 #[derive(Debug, Clone)]
 pub struct DenseMemo {
     vals: Vec<(f64, f64)>,
@@ -46,7 +49,7 @@ impl DenseMemo {
     pub fn new(n: usize) -> Self {
         let size = 1usize << n;
         DenseMemo {
-            vals: vec![(0.0, 0.0); size],
+            vals: Vec::new(),
             valid: vec![0u64; size.div_ceil(64)],
             occupied: 0,
         }
@@ -67,6 +70,9 @@ impl DenseMemo {
     #[inline]
     pub fn set(&mut self, mask: u32, value: (f64, f64)) {
         let m = mask as usize;
+        if self.vals.is_empty() {
+            self.vals = vec![(0.0, 0.0); self.valid.len() * 64];
+        }
         let bit = 1u64 << (m & 63);
         if self.valid[m >> 6] & bit == 0 {
             self.valid[m >> 6] |= bit;
@@ -194,9 +200,11 @@ pub fn peel_key(i: usize, cset: u32) -> u64 {
 /// Dense peel memo: `n · 2ⁿ` slots indexed by `(i << n) | cset`, with a
 /// validity bitmap — the peel-key analogue of [`DenseMemo`].
 ///
-/// At `n = 16` the value table is 16 MiB; it is allocated zeroed (lazily
-/// faulted by the OS), so construction stays cheap even when only a corner
-/// of the lattice is ever touched.
+/// At `n = 16` the value table is 16 MiB. Zeroing it is not free — once
+/// the allocator has freed a block that large it serves the next one from
+/// its heap and clears every byte — so, as in [`DenseMemo`], it is
+/// allocated on the first [`DensePeel::insert`], and an estimator dropped
+/// unused never pays for it.
 #[derive(Debug, Clone)]
 pub struct DensePeel {
     n: u32,
@@ -211,7 +219,7 @@ impl DensePeel {
         let size = n.max(1) << n;
         DensePeel {
             n: n as u32,
-            vals: vec![(0.0, 0.0); size],
+            vals: Vec::new(),
             valid: vec![0u64; size.div_ceil(64)],
             occupied: 0,
         }
@@ -238,6 +246,9 @@ impl DensePeel {
     #[inline]
     pub fn insert(&mut self, key: u64, value: (f64, f64)) {
         let idx = self.index(key);
+        if self.vals.is_empty() {
+            self.vals = vec![(0.0, 0.0); self.valid.len() * 64];
+        }
         let bit = 1u64 << (idx & 63);
         if self.valid[idx >> 6] & bit == 0 {
             self.valid[idx >> 6] |= bit;

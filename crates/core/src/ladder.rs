@@ -43,13 +43,13 @@
 //! deadline `D` (measured from entry), and `R₁ = Q − ⌊Q/2⌋`,
 //! `R₂ = R₁ − ⌊R₁/2⌋`:
 //!
-//! | rung  | work cap            | absolute deadline |
-//! |-------|---------------------|-------------------|
-//! | full *(or beam when routed)* | `⌊Q/2⌋` | `start + D/2` |
-//! | beam *(exact-width queries only)* | `⌊R₁/2⌋` (fresh) | `start + 5D/8` |
-//! | pruned| `⌊R₂/2⌋` (fresh; `⌊R₁/2⌋` when routed) | `start + 3D/4` |
-//! | greedy| none (fast)         | `start + D` (checked before) |
-//! | independence | none         | none              |
+//! | rung  | work cap            | absolute deadline | skipped when (dense engine) |
+//! |-------|---------------------|-------------------|-----------------------------|
+//! | full *(or beam when routed)* | `⌊Q/2⌋` | `start + D/2` | masks > cap, or predicted end > deadline |
+//! | beam *(exact-width queries only)* | `⌊R₁/2⌋` (fresh) | `start + 5D/8` | never |
+//! | pruned| `⌊R₂/2⌋` (fresh; `⌊R₁/2⌋` when routed) | `start + 3D/4` | masks > cap, or predicted end > deadline |
+//! | greedy| none (fast)         | `start + D` (checked before) | deadline already passed |
+//! | independence | none         | none              | never |
 //!
 //! Each cap is a floor of a monotone nondecreasing function of `Q`, so a
 //! *larger* budget can never fail a rung a smaller budget passed: the
@@ -57,19 +57,58 @@
 //! `tests/budget_ladder.rs`). The greedy rung carries no quota — it does
 //! one chain pass — and is skipped only if the caller cancelled or the
 //! full deadline already passed.
+//!
+//! ## Skipping a rung that cannot finish
+//!
+//! Before a DP rung that runs the dense engine (under `Auto`, `n ≤ 16`),
+//! the ladder takes the rung's exact work from the estimator it is about
+//! to run: [`SelectivityEstimator::dense_work`] counts the masks the fill
+//! solves and the submask iterations it walks, on the estimator's own
+//! component table, which the fill then reuses. The pruned rung walks the
+//! same submasks (pruning skips decompositions inside the walk, not
+//! iterations of it), so it reuses the full rung's count. The rung is
+//! skipped — reported through [`MetricsSink::rung_skipped`] in place of
+//! [`MetricsSink::rung_attempted`] — in two cases:
+//!
+//! * **Quota**: its mask count exceeds its cap. A rung charges one unit
+//!   per mask, so it would trip; skipping it charges nothing and changes
+//!   no rung's outcome, so quality stays monotone in the quota. The
+//!   reason is [`DegradeReason::WorkQuota`].
+//! * **Deadline**: `now + submasks × rate` passes its absolute deadline,
+//!   where `rate` is the rung's learned cost in ns per submask iteration
+//!   (see [`RungCosts`]). The reason is [`DegradeReason::Deadline`].
+//!
+//! The slices keep their absolute deadlines, so a skipped full rung hands
+//! its whole share of the deadline to the beam rung. The rates are an
+//! exponentially weighted mean (weight ¼ per run) over every dense run of
+//! that rung, finished or tripped, read from
+//! [`EstimatorStats::submasks`]. They live outside the ladder, in a
+//! [`RungCosts`] attached with [`Ladder::with_rung_costs`]; the service
+//! keeps one per catalog snapshot, beside the shared cache whose hits and
+//! misses they include. A rung with no rate yet — on a fresh snapshot,
+//! or in a ladder without [`RungCosts`] — is never skipped for its
+//! deadline. A skipped rung teaches its rate nothing, so one predicted
+//! deadline skip in 32 (per rung and [`RungCosts`]) runs the rung anyway
+//! and refreshes it. The rule never extrapolates from a rung's own
+//! progress: the first masks of a fill are peel-heavy, so a projection
+//! from early progress reads several times too high.
+//!
+//! Unlimited budgets, the recursive widths (17–20 under `Auto`) and the
+//! beam engine never reach the rule.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sqe_engine::{Database, SpjQuery};
 
 use crate::backend::{DiffBackend, SelectivityBackend};
 use crate::baseline::independence_selectivity;
 use crate::beam::BeamConfig;
-use crate::budget::{Budget, BudgetMeter, DegradeReason, Quality};
+use crate::budget::{Budget, BudgetMeter, CancelToken, DegradeReason, Quality};
 use crate::cache::SharedEstimatorCache;
 use crate::error::ErrorMode;
-use crate::estimator::{DpStrategy, EstimatorStats, SelectivityEstimator};
+use crate::estimator::{DenseWork, DpStrategy, EstimatorStats, SelectivityEstimator};
 use crate::gvm::GreedyViewMatching;
 use crate::metrics::{MetricsSink, NullSink};
 use crate::sit::SitCatalog;
@@ -101,6 +140,112 @@ pub struct BudgetedEstimate {
     pub stats: EstimatorStats,
 }
 
+/// A DP rung's answer, before the ladder labels it.
+struct DpAnswer {
+    selectivity: f64,
+    error: f64,
+    stats: EstimatorStats,
+}
+
+impl DpAnswer {
+    fn label(
+        self,
+        quality: Quality,
+        reason: Option<DegradeReason>,
+        work: u64,
+        metrics: &dyn MetricsSink,
+    ) -> BudgetedEstimate {
+        metrics.rung_answered(quality, reason);
+        BudgetedEstimate {
+            selectivity: self.selectivity,
+            error: Some(self.error),
+            quality,
+            degraded_reason: reason,
+            work,
+            stats: self.stats,
+        }
+    }
+}
+
+/// Predicted deadline skips of one rung between two runs of it that
+/// refresh its rate (see [`RungCosts`]).
+const REPROBE_EVERY: u64 = 32;
+
+/// Weight of a new sample in a rung's rate.
+const RATE_WEIGHT: f64 = 0.25;
+
+/// What the full and pruned dense rungs cost per submask iteration, as
+/// learned from their runs: the rates behind the ladder's skip rule (see
+/// the module docs). Owned by whatever shares a cache and a catalog among
+/// requests — the service keeps one per catalog snapshot, because the
+/// snapshot's shared cache makes up part of the cost — and handed to
+/// [`Ladder::with_rung_costs`]. Share one only among ladders with one
+/// configuration. All state is relaxed atomics: two racing updates may
+/// lose one sample, never tear a rate.
+#[derive(Debug, Default)]
+pub struct RungCosts {
+    full: RungRate,
+    pruned: RungRate,
+}
+
+impl RungCosts {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The learned rate of the full or pruned rung, in nanoseconds per
+    /// submask iteration; `None` before the rung has run, and for the
+    /// other rungs.
+    pub fn ns_per_submask(&self, rung: Quality) -> Option<f64> {
+        self.rate(rung).and_then(RungRate::get)
+    }
+
+    fn rate(&self, rung: Quality) -> Option<&RungRate> {
+        match rung {
+            Quality::Full => Some(&self.full),
+            Quality::Pruned => Some(&self.pruned),
+            _ => None,
+        }
+    }
+}
+
+/// One rung's learned rate and its count of predicted deadline skips.
+#[derive(Debug, Default)]
+struct RungRate {
+    /// Exponentially weighted mean of ns per submask iteration, as `f64`
+    /// bits; 0 until the rung has run.
+    ns_per_submask: AtomicU64,
+    predicted_skips: AtomicU64,
+}
+
+impl RungRate {
+    fn get(&self) -> Option<f64> {
+        let rate = f64::from_bits(self.ns_per_submask.load(Ordering::Relaxed));
+        (rate > 0.0).then_some(rate)
+    }
+
+    /// Folds in one run — finished or tripped — that walked `submasks`
+    /// iterations in `elapsed`.
+    fn learn(&self, elapsed: Duration, submasks: u64) {
+        if submasks == 0 {
+            return;
+        }
+        let sample = elapsed.as_nanos() as f64 / submasks as f64;
+        let rate = self
+            .get()
+            .map_or(sample, |r| r + RATE_WEIGHT * (sample - r));
+        self.ns_per_submask.store(rate.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Counts a predicted deadline skip; true for one in
+    /// [`REPROBE_EVERY`], which runs the rung anyway: a skipped rung
+    /// teaches its rate nothing.
+    fn reprobe(&self) -> bool {
+        let n = self.predicted_skips.fetch_add(1, Ordering::Relaxed);
+        n % REPROBE_EVERY == REPROBE_EVERY - 1
+    }
+}
+
 /// Reusable ladder configuration for one `(database, catalog)` pair: the
 /// estimator knobs every rung shares. Build once, call
 /// [`Ladder::estimate`] per query.
@@ -115,6 +260,7 @@ pub struct Ladder<'a> {
     shared: Option<&'a dyn SharedEstimatorCache>,
     backend: Arc<dyn SelectivityBackend>,
     metrics: &'a dyn MetricsSink,
+    costs: Option<&'a RungCosts>,
 }
 
 /// The shared no-op sink every ladder starts with.
@@ -133,11 +279,13 @@ impl<'a> Ladder<'a> {
             shared: None,
             backend: Arc::new(DiffBackend),
             metrics: &NULL_SINK,
+            costs: None,
         }
     }
 
     /// Installs a [`MetricsSink`] observing the rung walk: one
     /// [`MetricsSink::rung_attempted`] per rung tried, one
+    /// [`MetricsSink::rung_skipped`] per rung skipped, one
     /// [`MetricsSink::rung_answered`] for the rung that answered. Sinks
     /// observe only — the walk and every answer are bit-identical with or
     /// without one.
@@ -179,6 +327,14 @@ impl<'a> Ladder<'a> {
     /// Two-attribute SIT catalog, forwarded to the DP rungs.
     pub fn with_sit2_catalog(mut self, catalog: &'a Sit2Catalog) -> Self {
         self.sit2 = Some(catalog);
+        self
+    }
+
+    /// Learned rung rates: under a deadline, a dense rung predicted to
+    /// overrun its slice is skipped (see the module docs). Without them
+    /// every rung runs whenever its quota allows.
+    pub fn with_rung_costs(mut self, costs: &'a RungCosts) -> Self {
+        self.costs = Some(costs);
         self
     }
 
@@ -267,6 +423,84 @@ impl<'a> Ladder<'a> {
         }
     }
 
+    /// Runs one DP rung on `est` within its `(deadline, quota)` slice,
+    /// adding the work it charged to `work`. `dense` is the rung's exact
+    /// work when it runs the dense engine: the rung is then skipped if it
+    /// cannot finish in its slice, and with [`RungCosts`] attached a run
+    /// that finishes or trips teaches the rung's rate. `Err` carries the
+    /// trip or skip reason.
+    fn dp_rung(
+        &self,
+        rung: Quality,
+        est: SelectivityEstimator<'a>,
+        dense: Option<DenseWork>,
+        (deadline, cap): (Option<Instant>, Option<u64>),
+        cancel: &Option<CancelToken>,
+        work: &mut u64,
+    ) -> Result<DpAnswer, DegradeReason> {
+        let rate = dense.and(self.costs).and_then(|c| c.rate(rung));
+        let start = Instant::now();
+        if let Some(d) = dense {
+            if let Some(reason) = self.skip_reason(rung, d, rate, start, deadline, cap) {
+                return Err(reason);
+            }
+        }
+        self.metrics.rung_attempted(rung);
+        let meter = Arc::new(BudgetMeter::from_parts(deadline, cap, cancel.clone()));
+        let mut est = est.with_budget_meter(meter.clone());
+        let all = est.context().all();
+        let result = est.try_get_selectivity(all);
+        *work += meter.spent();
+        let stats = est.stats();
+        if let Some(rate) = rate {
+            rate.learn(start.elapsed(), stats.submasks);
+        }
+        let (selectivity, error) = result?;
+        Ok(DpAnswer {
+            selectivity,
+            error,
+            stats,
+        })
+    }
+
+    /// Why a dense rung of exact work `d`, about to start at `now`,
+    /// cannot finish in its slice — if it cannot — reported to the sink
+    /// as a skip. Quota side: the rung charges at least one unit per mask,
+    /// so more masks than its cap means it would trip; a larger quota
+    /// never skips a rung a smaller one ran. Deadline side: once the rung
+    /// has a learned rate, `now + submasks × rate` past its deadline
+    /// predicts a trip, and all but one in [`REPROBE_EVERY`] such
+    /// predictions skip.
+    fn skip_reason(
+        &self,
+        rung: Quality,
+        d: DenseWork,
+        rate: Option<&RungRate>,
+        now: Instant,
+        deadline: Option<Instant>,
+        cap: Option<u64>,
+    ) -> Option<DegradeReason> {
+        let predicted_ns = rate
+            .and_then(RungRate::get)
+            .map_or(0, |r| (d.submasks as f64 * r) as u64);
+        let overruns = |deadline: Instant| {
+            now.checked_add(Duration::from_nanos(predicted_ns))
+                .is_none_or(|end| end > deadline)
+        };
+        let reason = if cap.is_some_and(|c| d.masks > c) {
+            DegradeReason::WorkQuota
+        } else if predicted_ns > 0
+            && deadline.is_some_and(overruns)
+            && !rate.is_some_and(RungRate::reprobe)
+        {
+            DegradeReason::Deadline
+        } else {
+            return None;
+        };
+        self.metrics.rung_skipped(rung, predicted_ns);
+        Some(reason)
+    }
+
     /// Runs the ladder for `query` under `budget`. Never errors: the
     /// independence floor guarantees an answer. An unlimited budget takes
     /// a meter-free fast path bit-identical to calling the estimator
@@ -282,15 +516,12 @@ impl<'a> Ladder<'a> {
                 Quality::Full
             };
             self.metrics.rung_attempted(quality);
-            self.metrics.rung_answered(quality, None);
-            return BudgetedEstimate {
+            let answer = DpAnswer {
                 selectivity,
-                error: Some(error),
-                quality,
-                degraded_reason: None,
-                work: 0,
+                error,
                 stats: est.stats(),
             };
+            return answer.label(quality, None, 0, self.metrics);
         }
 
         let start = Instant::now();
@@ -314,41 +545,25 @@ impl<'a> Ladder<'a> {
         // unaffordable by construction) and the dedicated middle rung is
         // redundant.
         let routed = self.strategy.use_beam(query.predicates.len());
-        // Why the answer is degraded: the top rung's trip reason (every
-        // later rung only runs because the top rung failed).
-        let reason: DegradeReason;
+        let cancel = &budget.cancel;
 
         // Rung 1: the best DP this query can get — full exact, or beam
-        // when routed — on half the allowance.
-        let full_meter = Arc::new(BudgetMeter::from_parts(
+        // when routed — on half the allowance. Its exact work, counted
+        // on its own estimator, also serves the pruned rung, whose walk
+        // has the same shape.
+        let top = if routed { Quality::Beam } else { Quality::Full };
+        let mut est = self.build_estimator(query, false);
+        let dense = est.dense_work(est.context().all());
+        let slice = (
             budget.deadline.map(|d| start + d / 2),
             budget.quota.map(|q| q / 2),
-            budget.cancel.clone(),
-        ));
-        {
-            let top = if routed { Quality::Beam } else { Quality::Full };
-            self.metrics.rung_attempted(top);
-            let mut est = self
-                .build_estimator(query, false)
-                .with_budget_meter(full_meter.clone());
-            let all = est.context().all();
-            let r = est.try_get_selectivity(all);
-            work += full_meter.spent();
-            match r {
-                Ok((selectivity, error)) => {
-                    self.metrics.rung_answered(top, None);
-                    return BudgetedEstimate {
-                        selectivity,
-                        error: Some(error),
-                        quality: top,
-                        degraded_reason: None,
-                        work,
-                        stats: est.stats(),
-                    };
-                }
-                Err(e) => reason = e.into(),
-            }
-        }
+        );
+        // Why the answer is degraded: the top rung's trip or skip reason
+        // (every later rung only runs because the top rung failed).
+        let reason = match self.dp_rung(top, est, dense, slice, cancel, &mut work) {
+            Ok(answer) => return answer.label(top, None, work, self.metrics),
+            Err(r) => r,
+        };
 
         // Rung 2 (exact-width queries only): the beam engine on a fresh
         // half-of-the-remainder slice — an approximate DP answer with a
@@ -357,58 +572,26 @@ impl<'a> Ladder<'a> {
         // cumulative windows, which would break quota monotonicity.
         let r1 = budget.quota.map(|q| q - q / 2);
         if !routed {
-            self.metrics.rung_attempted(Quality::Beam);
-            let beam_meter = Arc::new(BudgetMeter::from_parts(
+            let est = self.build_estimator_as(query, false, DpStrategy::Beam);
+            let slice = (
                 budget.deadline.map(|d| start + d.mul_f64(0.625)),
                 r1.map(|r| r / 2),
-                budget.cancel.clone(),
-            ));
-            let mut est = self
-                .build_estimator_as(query, false, DpStrategy::Beam)
-                .with_budget_meter(beam_meter.clone());
-            let all = est.context().all();
-            let r = est.try_get_selectivity(all);
-            work += beam_meter.spent();
-            if let Ok((selectivity, error)) = r {
-                self.metrics.rung_answered(Quality::Beam, Some(reason));
-                return BudgetedEstimate {
-                    selectivity,
-                    error: Some(error),
-                    quality: Quality::Beam,
-                    degraded_reason: Some(reason),
-                    work,
-                    stats: est.stats(),
-                };
+            );
+            if let Ok(answer) = self.dp_rung(Quality::Beam, est, None, slice, cancel, &mut work) {
+                return answer.label(Quality::Beam, Some(reason), work, self.metrics);
             }
         }
 
         // Rung 3: pruned DP (the pruned *beam* engine when routed) on a
         // fresh slice of what the rungs above left notionally unspent.
         let r2 = if routed { r1 } else { r1.map(|r| r - r / 2) };
-        let pruned_meter = Arc::new(BudgetMeter::from_parts(
+        let est = self.build_estimator(query, true);
+        let slice = (
             budget.deadline.map(|d| start + d.mul_f64(0.75)),
             r2.map(|r| r / 2),
-            budget.cancel.clone(),
-        ));
-        {
-            self.metrics.rung_attempted(Quality::Pruned);
-            let mut est = self
-                .build_estimator(query, true)
-                .with_budget_meter(pruned_meter.clone());
-            let all = est.context().all();
-            let r = est.try_get_selectivity(all);
-            work += pruned_meter.spent();
-            if let Ok((selectivity, error)) = r {
-                self.metrics.rung_answered(Quality::Pruned, Some(reason));
-                return BudgetedEstimate {
-                    selectivity,
-                    error: Some(error),
-                    quality: Quality::Pruned,
-                    degraded_reason: Some(reason),
-                    work,
-                    stats: est.stats(),
-                };
-            }
+        );
+        if let Ok(answer) = self.dp_rung(Quality::Pruned, est, dense, slice, cancel, &mut work) {
+            return answer.label(Quality::Pruned, Some(reason), work, self.metrics);
         }
 
         // Rung 4: greedy view matching — one chain pass, no quota. Only
@@ -439,5 +622,33 @@ impl<'a> Ladder<'a> {
         // `Quality::Bound` variant when the backend publishes one. O(n);
         // always answers.
         self.floor(query, Some(reason), work)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_rate_starts_at_its_first_run_and_moves_a_quarter_per_run() {
+        let costs = RungCosts::new();
+        assert_eq!(costs.ns_per_submask(Quality::Full), None);
+        costs.full.learn(Duration::from_nanos(4_000), 100);
+        assert_eq!(costs.ns_per_submask(Quality::Full), Some(40.0));
+        costs.full.learn(Duration::from_nanos(8_000), 100);
+        assert_eq!(costs.ns_per_submask(Quality::Full), Some(50.0));
+        // A run that walked nothing carries no rate.
+        costs.full.learn(Duration::from_millis(5), 0);
+        assert_eq!(costs.ns_per_submask(Quality::Full), Some(50.0));
+        // Each rung learns on its own; only full and pruned have rates.
+        assert_eq!(costs.ns_per_submask(Quality::Pruned), None);
+        assert!(costs.rate(Quality::Beam).is_none());
+    }
+
+    #[test]
+    fn one_predicted_skip_in_thirty_two_runs_the_rung() {
+        let rate = RungRate::default();
+        let runs: Vec<u64> = (0..3 * REPROBE_EVERY).filter(|_| rate.reprobe()).collect();
+        assert_eq!(runs, [31, 63, 95]);
     }
 }

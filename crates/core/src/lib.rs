@@ -73,12 +73,12 @@ pub use cache::{CacheKey, SharedEstimatorCache};
 pub use decomposition::{count_decompositions, decomposition_bounds, ComponentTable};
 pub use delta::{DeltaConfig, IngestReport, LiveCatalog};
 pub use error::ErrorMode;
-pub use estimator::{DpStrategy, EstimatorStats, SelectivityEstimator};
+pub use estimator::{DenseWork, DpStrategy, EstimatorStats, SelectivityEstimator};
 pub use feedback::{FeedbackStore, Observation};
 pub use flat::{DenseMemo, FlatMemo, PeelMemo};
 pub use groupby::{cardenas, true_group_count};
 pub use gvm::GreedyViewMatching;
-pub use ladder::{BudgetedEstimate, Ladder};
+pub use ladder::{BudgetedEstimate, Ladder, RungCosts};
 pub use metrics::{LatencyHistogram, LatencySnapshot, MetricsSink, NullSink};
 pub use persist::{clean_stale_temps, load_catalog, save_catalog, stale_temp_files};
 pub use pessimistic::{BoundSketch, PessimisticBackend};

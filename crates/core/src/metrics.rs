@@ -52,6 +52,13 @@ pub trait MetricsSink: Send + Sync {
     /// rung.
     fn rung_attempted(&self, _quality: Quality) {}
 
+    /// The ladder skipped a dense rung, reported in place of
+    /// [`MetricsSink::rung_attempted`]: its exact work could not fit its
+    /// budget slice. `predicted_ns` is the time its learned rate
+    /// predicted (0 when the skip came from the quota side before any
+    /// rate was learned).
+    fn rung_skipped(&self, _quality: Quality, _predicted_ns: u64) {}
+
     /// The ladder answered from `quality`; `reason` is why anything below
     /// the top rung was needed (`None` for undegraded answers).
     fn rung_answered(&self, _quality: Quality, _reason: Option<DegradeReason>) {}
@@ -222,6 +229,7 @@ mod tests {
     fn null_sink_accepts_every_event() {
         let s = NullSink;
         s.rung_attempted(Quality::Full);
+        s.rung_skipped(Quality::Pruned, 12_000_000);
         s.rung_answered(Quality::Independence, Some(DegradeReason::Deadline));
         s.estimate_served(1_000, Quality::Full, false);
         s.shed(5_000_000);

@@ -15,7 +15,8 @@ use sqe_service::ServiceStatsSnapshot;
 const REASON_LABELS: [&str; 4] = ["deadline", "work_quota", "cancelled", "panic"];
 
 /// Appends one tenant's series to `out`, one line per series, all
-/// labeled `tenant="<name>"`. Rungs that never ran are left out.
+/// labeled `tenant="<name>"`. Rungs that never ran are left out, and so
+/// is a zero skip count.
 pub(crate) fn render(tenant: &str, snap: &ServiceStatsSnapshot, out: &mut String) {
     let mut line = |name: &str, label: &str, value: u64| {
         let _ = writeln!(out, "sqe_{name}{{tenant=\"{tenant}\"{label}}} {value}");
@@ -31,6 +32,9 @@ pub(crate) fn render(tenant: &str, snap: &ServiceStatsSnapshot, out: &mut String
             for (name, n) in counts {
                 line(name, &rung, n);
             }
+        }
+        if snap.rung_skipped[i] > 0 {
+            line("rung_skipped_total", &rung, snap.rung_skipped[i]);
         }
     }
     for (reason, &n) in REASON_LABELS.iter().zip(&snap.degrade_reasons) {
@@ -53,6 +57,7 @@ pub(crate) fn render(tenant: &str, snap: &ServiceStatsSnapshot, out: &mut String
 struct RungCounts {
     rung: &'static str,
     attempted: u64,
+    skipped: u64,
     answered: u64,
     served: u64,
 }
@@ -96,6 +101,7 @@ impl StatsResponse {
                 .map(|(i, q)| RungCounts {
                     rung: q.label(),
                     attempted: snap.rung_attempted[i],
+                    skipped: snap.rung_skipped[i],
                     answered: snap.rung_answered[i],
                     served: snap.quality_counts[i],
                 })
@@ -134,6 +140,7 @@ mod tests {
         s.rung_attempted(Quality::Full);
         s.rung_answered(Quality::Full, None);
         s.estimate_served(5_000, Quality::Full, false);
+        s.rung_skipped(Quality::Full, 30_000_000);
         s.rung_answered(Quality::Greedy, Some(DegradeReason::WorkQuota));
         for (hint, width) in [(1_000_000, 2.0), (3_000_000, 6.0)] {
             s.shed(hint);
@@ -145,6 +152,7 @@ mod tests {
         for series in [
             "sqe_rung_answered_total{tenant=\"acme\",rung=\"full\"} 1",
             "sqe_rung_answered_total{tenant=\"acme\",rung=\"greedy\"} 1",
+            "sqe_rung_skipped_total{tenant=\"acme\",rung=\"full\"} 1",
             "sqe_degraded_total{tenant=\"acme\",reason=\"work_quota\"} 1",
             "sqe_sheds_total{tenant=\"acme\"} 2",
             "sqe_latency_us{tenant=\"acme\",quantile=\"0.99\"} 6",

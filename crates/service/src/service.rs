@@ -10,7 +10,8 @@ use parking_lot::RwLock;
 use sqe_core::{
     build_pool_threaded, BackendKind, BeamConfig, BnBackend, BnCatalog, BoundSketch, Budget,
     CacheKey, DegradeReason, DiffBackend, DpStrategy, ErrorMode, IngestReport, Ladder, MetricsSink,
-    PessimisticBackend, PoolSpec, Quality, SelectivityBackend, Sit2Catalog, SitCatalog, SitOptions,
+    PessimisticBackend, PoolSpec, Quality, RungCosts, SelectivityBackend, Sit2Catalog, SitCatalog,
+    SitOptions,
 };
 use sqe_engine::{Database, Result as EngineResult, SpjQuery};
 
@@ -119,12 +120,15 @@ impl std::error::Error for ServiceError {}
 /// pool rebuilds; the writer installs a *new* snapshot and never mutates a
 /// published one. The cross-query cache lives inside the snapshot because
 /// its join/`H3` entries are keyed by [`sqe_core::SitId`], which is only
-/// meaningful relative to this snapshot's catalog.
+/// meaningful relative to this snapshot's catalog. Beside it live the
+/// ladder's learned [`RungCosts`], whose rates include that cache's hits
+/// and misses; both start empty on every new snapshot.
 pub struct CatalogSnapshot {
     db: Arc<Database>,
     sits: SitCatalog,
     sit2: Option<Sit2Catalog>,
     cache: ShardedCache,
+    rung_costs: RungCosts,
     epoch: u64,
     /// Degree-sequence bound sketch over `db` — always present so every
     /// [`Estimate`] can report a sound [`Estimate::upper_bound`].
@@ -156,6 +160,12 @@ impl CatalogSnapshot {
         &self.cache
     }
 
+    /// What the dense ladder rungs have cost per submask iteration
+    /// against this snapshot (see [`Ladder::with_rung_costs`]).
+    pub fn rung_costs(&self) -> &RungCosts {
+        &self.rung_costs
+    }
+
     /// Monotone snapshot generation (0 for the service's initial catalog).
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -180,6 +190,7 @@ impl CatalogSnapshot {
             sits,
             sit2,
             cache: ShardedCache::new(CACHE_SHARDS, CACHE_CAPACITY_PER_SHARD),
+            rung_costs: RungCosts::new(),
             epoch: self.epoch + 1,
             bound: Arc::clone(&self.bound),
             backend: Arc::clone(&self.backend),
@@ -305,6 +316,7 @@ impl EstimationService {
             sits: catalog,
             sit2: None,
             cache: ShardedCache::new(CACHE_SHARDS, CACHE_CAPACITY_PER_SHARD),
+            rung_costs: RungCosts::new(),
             epoch: 0,
             bound,
             backend,
@@ -433,6 +445,7 @@ impl EstimationService {
             sits: catalog,
             sit2,
             cache,
+            rung_costs: RungCosts::new(),
             epoch,
             bound,
             backend,
@@ -656,7 +669,8 @@ impl EstimationService {
                     .with_strategy(self.config.dp_strategy)
                     .with_beam_config(self.config.beam)
                     .with_backend(Arc::clone(&snapshot.backend))
-                    .with_shared_cache(&snapshot.cache);
+                    .with_shared_cache(&snapshot.cache)
+                    .with_rung_costs(&snapshot.rung_costs);
                 if let Some(sit2) = &snapshot.sit2 {
                     ladder = ladder.with_sit2_catalog(sit2);
                 }

@@ -45,6 +45,7 @@ fn reason_idx(r: DegradeReason) -> usize {
 pub struct ServiceStats {
     // Field meanings: see the same-named `ServiceStatsSnapshot` fields.
     attempted: [AtomicU64; QUALITY_TIERS],
+    skipped: [AtomicU64; QUALITY_TIERS],
     answered: [AtomicU64; QUALITY_TIERS],
     served: [AtomicU64; QUALITY_TIERS],
     served_latency_ns: [AtomicU64; QUALITY_TIERS],
@@ -71,6 +72,10 @@ pub struct ServiceStats {
 impl MetricsSink for ServiceStats {
     fn rung_attempted(&self, quality: Quality) {
         self.attempted[quality_idx(quality)].fetch_add(1, RELAXED);
+    }
+
+    fn rung_skipped(&self, quality: Quality, _predicted_ns: u64) {
+        self.skipped[quality_idx(quality)].fetch_add(1, RELAXED);
     }
 
     fn rung_answered(&self, quality: Quality, reason: Option<DegradeReason>) {
@@ -150,6 +155,7 @@ impl ServiceStats {
             installs: self.installs.load(RELAXED),
             latency: self.latency.snapshot(),
             rung_attempted: load(&self.attempted),
+            rung_skipped: load(&self.skipped),
             rung_answered: load(&self.answered),
             quality_counts,
             quality_latency_ns: load(&self.served_latency_ns),
@@ -210,6 +216,9 @@ pub struct ServiceStatsSnapshot {
     pub latency: LatencySnapshot,
     /// Rungs the ladder tried, per tier. A cache hit tries none.
     pub rung_attempted: [u64; QUALITY_TIERS],
+    /// Dense rungs the ladder skipped instead of trying, per tier: their
+    /// exact work could not fit their budget slice.
+    pub rung_skipped: [u64; QUALITY_TIERS],
     /// Rungs that produced an answer, per tier. This counts rung
     /// outcomes, not requests (see [`MetricsSink`]).
     pub rung_answered: [u64; QUALITY_TIERS],
@@ -335,6 +344,7 @@ mod tests {
         let s = ServiceStats::default();
         assert_eq!(s.snapshot(CacheCounters::default()).full_fraction(), 1.0); // idle ≠ degraded
         s.rung_attempted(Quality::Full);
+        s.rung_skipped(Quality::Pruned, 40_000_000);
         s.rung_answered(Quality::Pruned, Some(DegradeReason::Deadline));
         s.estimate_served(10_000, Quality::Pruned, false);
         s.estimate_served(30_000, Quality::Full, true);
@@ -348,6 +358,8 @@ mod tests {
         assert_eq!(s.mean_latency_hint(), Duration::from_micros(20));
         assert_eq!(snap.quality_count(Quality::Pruned), 1);
         assert_eq!(snap.rung_attempted[quality_idx(Quality::Full)], 1);
+        assert_eq!(snap.rung_skipped[quality_idx(Quality::Pruned)], 1);
+        assert_eq!(snap.rung_attempted[quality_idx(Quality::Pruned)], 0);
         assert_eq!(snap.rung_answered[quality_idx(Quality::Pruned)], 1);
         assert_eq!(snap.degraded_by(DegradeReason::Deadline), 1);
         assert!((snap.full_fraction() - 0.5).abs() < 1e-9);

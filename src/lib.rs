@@ -64,8 +64,8 @@ pub mod prelude {
     pub use sqe_core::{
         build_pool, build_pool2, load_catalog, save_catalog, BeamConfig, BeamStats, Budget,
         BudgetedEstimate, CancelToken, DegradeReason, DpStrategy, ErrorMode, GreedyViewMatching,
-        Ladder, NoSitEstimator, PoolSpec, PredSet, Quality, QueryContext, SelectivityEstimator,
-        Sit, Sit2, Sit2Catalog, SitCatalog, SitOptions,
+        Ladder, NoSitEstimator, PoolSpec, PredSet, Quality, QueryContext, RungCosts,
+        SelectivityEstimator, Sit, Sit2, Sit2Catalog, SitCatalog, SitOptions,
     };
     pub use sqe_datagen::{
         generate_workload, motivating_scenario, Snowflake, SnowflakeConfig, WorkloadConfig,

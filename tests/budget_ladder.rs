@@ -1,15 +1,19 @@
 //! Budgeted estimation and the graceful-degradation ladder: monotonicity
-//! of the quality label, bit-identity guarantees, and the headline
+//! of the quality label, bit-identity guarantees, the headline
 //! robustness property — a hard query under a 1 ms deadline still returns
-//! a labeled answer immediately.
+//! a labeled answer immediately — and the rule that skips a dense rung
+//! whose exact work cannot fit its slice.
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use sqe::core::baseline::independence_selectivity;
+use sqe::core::{DeltaConfig, MetricsSink};
 use sqe::engine::table::TableBuilder;
 use sqe::prelude::*;
+use sqe::server::{FrontDoor, QuotaConfig, Request, TenantConfig};
 
 /// Base SITs over every column of `db`, the minimum catalog every
 /// estimator path accepts.
@@ -256,4 +260,156 @@ fn quota_exhaustion_reports_work_quota_reason() {
     assert!(tiny.quality < Quality::Full);
     assert_eq!(tiny.degraded_reason, Some(DegradeReason::WorkQuota));
     assert!(tiny.work <= 64 + 2, "spent {} against quota 64", tiny.work);
+}
+
+/// The rung events a ladder reported, in order.
+#[derive(Default)]
+struct RungLog(Mutex<Vec<(&'static str, Quality)>>);
+
+impl RungLog {
+    fn push(&self, event: &'static str, rung: Quality) {
+        self.0.lock().unwrap().push((event, rung));
+    }
+
+    /// The events since the last call.
+    fn take(&self) -> Vec<(&'static str, Quality)> {
+        std::mem::take(&mut *self.0.lock().unwrap())
+    }
+}
+
+impl MetricsSink for RungLog {
+    fn rung_attempted(&self, rung: Quality) {
+        self.push("attempted", rung);
+    }
+
+    fn rung_skipped(&self, rung: Quality, _predicted_ns: u64) {
+        self.push("skipped", rung);
+    }
+}
+
+/// The first six predicates of [`hard_query`]: 63 masks, 665 submask
+/// iterations.
+fn six_of(query: &SpjQuery) -> SpjQuery {
+    SpjQuery::new(query.tables.clone(), query.predicates[..6].to_vec()).unwrap()
+}
+
+/// A rate learned from a wide query that tripped is far above what a
+/// small query's walk costs, yet a small query under a generous deadline
+/// still runs its full rung: the rule scales the rate by that query's own
+/// exact work.
+#[test]
+fn a_learned_wide_rate_still_lets_a_small_query_answer_full() {
+    let (db, wide) = hard_query();
+    let catalog = base_catalog(&db, 1, 16);
+    let costs = RungCosts::new();
+    let ladder = Ladder::new(&db, &catalog, ErrorMode::Diff).with_rung_costs(&costs);
+    let tight = Budget::unlimited().with_deadline(Duration::from_millis(4));
+    assert!(ladder.estimate(&wide, &tight).quality < Quality::Full);
+    let rate = costs
+        .ns_per_submask(Quality::Full)
+        .expect("the tripped full rung taught its rate");
+
+    let generous = Budget::unlimited().with_deadline(Duration::from_secs(5));
+    let got = ladder.estimate(&six_of(&wide), &generous);
+    assert_eq!(got.quality, Quality::Full, "learned {rate} ns per submask");
+    assert_eq!(got.degraded_reason, None);
+}
+
+/// Once the full rung's rate is known, a request whose full rung cannot
+/// finish in its slice skips it: the sink sees a skip and no attempt, the
+/// answer is labeled with the deadline, and `/metrics` counts the skip.
+#[test]
+fn a_rung_predicted_to_overrun_its_deadline_is_skipped_and_counted() {
+    let (db, query) = hard_query();
+    let catalog = base_catalog(&db, 1, 16);
+    let budget = Budget::unlimited().with_deadline(Duration::from_millis(20));
+    let costs = RungCosts::new();
+    let log = RungLog::default();
+    let ladder = Ladder::new(&db, &catalog, ErrorMode::Diff)
+        .with_rung_costs(&costs)
+        .with_metrics(&log);
+
+    // No rate yet: the first request runs the full rung, which trips.
+    assert!(ladder.estimate(&query, &budget).quality < Quality::Full);
+    assert_eq!(log.take().first(), Some(&("attempted", Quality::Full)));
+    assert!(costs.ns_per_submask(Quality::Full).is_some());
+
+    let got = ladder.estimate(&query, &budget);
+    let events = log.take();
+    assert_eq!(events.first(), Some(&("skipped", Quality::Full)));
+    assert!(
+        !events.contains(&("attempted", Quality::Full)),
+        "{events:?}"
+    );
+    assert!(got.quality < Quality::Full);
+    assert_eq!(got.degraded_reason, Some(DegradeReason::Deadline));
+
+    // The same two requests through the front door, where each snapshot
+    // keeps its own rates.
+    let door = FrontDoor::new(8);
+    let quota = QuotaConfig {
+        rate: 1e6,
+        burst: 1e6,
+        max_in_flight: 8,
+        deadline_ceiling: Duration::from_secs(10),
+    };
+    let config = TenantConfig {
+        quota,
+        service: ServiceConfig::default(),
+        delta: DeltaConfig::default(),
+    };
+    door.add_tenant("wide", db, catalog, config);
+    let body = format!(
+        r#"{{"tables":[0],"predicates":{},"deadline_ms":20}}"#,
+        serde_json::to_string(&query.predicates).unwrap()
+    );
+    for _ in 0..2 {
+        let resp = door.handle(&Request::new("POST", "/v1/wide/estimate", body.clone()));
+        let text = String::from_utf8(resp.body).unwrap();
+        assert_eq!(resp.status, 200, "{text}");
+        assert!(text.contains(r#""degraded":"deadline""#), "{text}");
+    }
+    let metrics = door.handle(&Request::new("GET", "/metrics", ""));
+    let text = String::from_utf8(metrics.body).unwrap();
+    for series in [
+        r#"sqe_rung_attempted_total{tenant="wide",rung="full"} 1"#,
+        r#"sqe_rung_skipped_total{tenant="wide",rung="full"} 1"#,
+    ] {
+        assert!(text.contains(series), "{series} not in {text}");
+    }
+}
+
+/// The quota side needs no rate: a full rung whose quota slice is below
+/// its mask count cannot finish, so it is skipped before it charges
+/// anything; at the count itself it runs.
+#[test]
+fn a_quota_slice_below_the_mask_count_skips_the_rung_uncharged() {
+    let (db, wide) = hard_query();
+    let catalog = base_catalog(&db, 1, 16);
+    let query = six_of(&wide);
+    let mut est = SelectivityEstimator::new(&db, &query, &catalog, ErrorMode::Diff);
+    let masks = est.dense_work(est.context().all()).unwrap().masks;
+    assert_eq!(masks, 63);
+    let log = RungLog::default();
+    let ladder = Ladder::new(&db, &catalog, ErrorMode::Diff).with_metrics(&log);
+
+    // The full rung's slice is ⌊Q/2⌋ = masks − 1.
+    let quota = 2 * masks - 1;
+    let got = ladder.estimate(&query, &Budget::unlimited().with_quota(quota));
+    let events = log.take();
+    assert_eq!(events.first(), Some(&("skipped", Quality::Full)));
+    assert!(
+        !events.contains(&("attempted", Quality::Full)),
+        "{events:?}"
+    );
+    assert_eq!(got.degraded_reason, Some(DegradeReason::WorkQuota));
+    // Only the beam rung below charged: at most its slice, ⌊R₁/2⌋, and
+    // the one unit that tripped it. The pruned rung, on a smaller slice
+    // of the same masks, is skipped too.
+    let beam_slice = (quota - quota / 2) / 2;
+    assert!(got.work <= beam_slice + 1, "charged {}", got.work);
+    assert!(events.contains(&("skipped", Quality::Pruned)), "{events:?}");
+
+    ladder.estimate(&query, &Budget::unlimited().with_quota(2 * masks));
+    assert_eq!(log.take().first(), Some(&("attempted", Quality::Full)));
 }
