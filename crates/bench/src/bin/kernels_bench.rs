@@ -1,9 +1,9 @@
-//! Microbenchmarks for the `sqe-histogram` hot kernels: branchless binary
-//! searches, the batched 4-way search, the CDF range kernel, and the
-//! merge-scan histogram join — each against its straightforward reference.
+//! Microbenchmarks for the `sqe-histogram` hot kernels: the CDF range
+//! kernel, the covering-bucket equality search, and the merge-scan
+//! histogram join — each against its straightforward reference.
 //!
 //! Every variant pair is checked for equivalence while being timed: the
-//! branchless searches and the merge-scan join must match their references
+//! equality search and the merge-scan join must match their references
 //! **bit for bit** (they are drop-in replacements on the estimator's hot
 //! path); the CDF range kernel is allowed the documented prefix-subtraction
 //! rounding versus a full bucket scan and is checked to a relative
@@ -25,11 +25,11 @@ use std::time::Instant;
 use serde::Serialize;
 use sqe_bench::report::{render_table, round_us, write_json};
 use sqe_bench::Args;
-use sqe_histogram::{count_lt, count_lt4, Bucket, Histogram};
+use sqe_histogram::{Bucket, Histogram};
 
 #[derive(Serialize)]
 struct KernelRow {
-    /// Kernel family: `search`, `search4`, `range`, `eq`, `join`.
+    /// Kernel family: `range`, `eq`, `join`.
     kernel: String,
     /// `reference` or the optimized variant's name.
     variant: String,
@@ -115,20 +115,15 @@ fn main() {
     let pool: Vec<Histogram> = (0..hists)
         .map(|_| random_hist(&mut rng, max_buckets))
         .collect();
-    // Sorted bound columns for the raw-search benches. Probes are drawn
-    // from each array's own elements (± jitter) so every comparison level
-    // is a coin flip — the shape the estimator sees, where query bounds
-    // land inside the histogram. Out-of-range probes would make the branchy
-    // reference perfectly predictable and flatter it unfairly.
-    let arrays: Vec<Vec<i64>> = pool
+    // Equality probes drawn from each histogram's own bucket bounds
+    // (± jitter), so every search level is a coin flip — the shape the
+    // estimator sees, where query bounds land inside the histogram.
+    let probe_sets: Vec<Vec<i64>> = pool
         .iter()
-        .map(|h| h.buckets().iter().map(|b| b.hi).collect())
-        .collect();
-    let probe_sets: Vec<Vec<i64>> = arrays
-        .iter()
-        .map(|a| {
+        .map(|h| {
+            let b = h.buckets();
             (0..probes)
-                .map(|_| a[(rng.next() as usize) % a.len()] + rng.in_range(-2, 2))
+                .map(|_| b[(rng.next() as usize) % b.len()].hi + rng.in_range(-2, 2))
                 .collect()
         })
         .collect();
@@ -158,66 +153,7 @@ fn main() {
         });
     };
 
-    // --- search: branchless count_lt vs std partition_point -------------
-    let search_ops = (arrays.len() * probes) as u64;
-    let (ns_ref, sum_ref) = time_ns_per_op(reps, search_ops, |seed| {
-        let mut acc = seed as usize;
-        for (a, pv) in arrays.iter().zip(&probe_sets) {
-            for &v in pv {
-                acc += a.partition_point(|x| *x < v);
-            }
-        }
-        acc as f64
-    });
-    push("search", "partition_point", ns_ref, search_ops, sum_ref);
-    let (ns_opt, sum_opt) = time_ns_per_op(reps, search_ops, |seed| {
-        let mut acc = seed as usize;
-        for (a, pv) in arrays.iter().zip(&probe_sets) {
-            for &v in pv {
-                acc += count_lt(a, v);
-            }
-        }
-        acc as f64
-    });
-    assert_eq!(sum_ref, sum_opt, "count_lt diverged from partition_point");
-    push("search", "count_lt", ns_opt, search_ops, sum_opt);
-
-    // --- search4: 4-way lockstep vs 4 scalar branchless calls -----------
-    let quad_sets: Vec<Vec<[i64; 4]>> = probe_sets
-        .iter()
-        .map(|pv| {
-            pv.chunks_exact(4)
-                .map(|c| [c[0], c[1], c[2], c[3]])
-                .collect()
-        })
-        .collect();
-    let search4_ops = (arrays.len() * (probes / 4) * 4) as u64;
-    let (ns_ref4, sum_ref4) = time_ns_per_op(reps, search4_ops, |seed| {
-        let mut acc = seed as usize;
-        for (a, qs) in arrays.iter().zip(&quad_sets) {
-            for q in qs {
-                for &v in q {
-                    acc += count_lt(a, v);
-                }
-            }
-        }
-        acc as f64
-    });
-    push("search4", "scalar_x4", ns_ref4, search4_ops, sum_ref4);
-    let (ns_opt4, sum_opt4) = time_ns_per_op(reps, search4_ops, |seed| {
-        let mut acc = seed as usize;
-        for (a, qs) in arrays.iter().zip(&quad_sets) {
-            for q in qs {
-                let [r0, r1, r2, r3] = count_lt4(a, *q);
-                acc += r0 + r1 + r2 + r3;
-            }
-        }
-        acc as f64
-    });
-    assert_eq!(sum_ref4, sum_opt4, "count_lt4 diverged from scalar lanes");
-    push("search4", "count_lt4", ns_opt4, search4_ops, sum_opt4);
-
-    // --- range: CDF + branchless edges vs full bucket scan --------------
+    // --- range: CDF + binary-searched edges vs full bucket scan ---------
     let span = |lo: i64, hi: i64| (hi as i128 - lo as i128 + 1) as f64;
     let scan_range_rows = |h: &Histogram, lo: i64, hi: i64| -> f64 {
         let mut rows = 0.0;

@@ -1,17 +1,17 @@
 //! Beam-search approximate DP: `getSelectivity` beyond the exact cliff.
 //!
-//! The exact engines walk the full decomposition space — `O(3ⁿ)` submask
-//! iterations over a `2ⁿ` lattice — which hard-caps the dense tables at
+//! The exact engine walks the full decomposition space — `O(3ⁿ)` submask
+//! iterations over a `2ⁿ` lattice — which caps the dense tables at
 //! `n = 20` and makes one 30-predicate query a cliff, not a slowdown. The
 //! beam engine explores a **bounded frontier of decompositions** instead:
 //! for each non-separable set it *generates* a small candidate family of
 //! atomic decompositions `Sel(P′|Q)·Sel(Q)`, *scores* every candidate by
 //! its conditional-factor error, keeps the [`BeamConfig::width`] best (plus
 //! the always-valid `P′ = P` fallback), and only recurses into the kept
-//! candidates' conditioning sets. The memo stays the recursive engine's
-//! open-addressed [`crate::flat::FlatMemo`] — sparse by construction, no
-//! `2ⁿ` allocation — so only the states the beam actually visits cost
-//! memory.
+//! candidates' conditioning sets, top down as in the paper's Figure 3. The
+//! memo is the open-addressed [`crate::flat::FlatMemo`] — sparse by
+//! construction, no `2ⁿ` allocation — so only the states the beam actually
+//! visits cost memory.
 //!
 //! ## The admissible lower bound
 //!
@@ -28,10 +28,11 @@
 //! ## Exactness at unbounded width
 //!
 //! With `width` covering every submask and no expansions cap, generation
-//! degenerates to the exact engines' full descending-submask walk, the
-//! selection keeps everything, and the evaluation loop is the recursive
-//! engine's loop verbatim — values, memo entry sets, and peel counts are
-//! **bit-identical** to [`crate::DpStrategy::Recursive`] (the property
+//! degenerates to the dense engine's full descending-submask walk, the
+//! selection keeps everything, and the evaluation loop runs Figure 3's
+//! exhaustive argmin top down — values, memo entry sets, and peel and
+//! view-matching counts are **bit-identical** to the dense engine that
+//! [`crate::DpStrategy::Auto`] runs up to `n = 20` (the property
 //! `tests/beam.rs` pins). Shrinking `width` only removes candidates, so
 //! error is monotone in the knob.
 //!
@@ -39,7 +40,7 @@
 //!
 //! The engine charges the shared [`crate::BudgetMeter`] one unit per
 //! expanded set plus one per freshly computed link, polls the deadline at
-//! the same amortized stride as the exact walks, and aborts with the
+//! the same amortized stride as the exact walk, and aborts with the
 //! sticky trip reason — so a beam rung degrades down the quality ladder
 //! exactly like the exact rungs do. [`BeamConfig::expansions_cap`] bounds
 //! the search even under an unlimited budget: once the cap is hit,
@@ -61,8 +62,8 @@ pub struct BeamConfig {
 }
 
 impl BeamConfig {
-    /// No width limit, no expansions cap: the beam engine becomes the
-    /// exact recursive engine (bit-for-bit — the proptest anchor).
+    /// No width limit, no expansions cap: the beam engine becomes exact,
+    /// bit-for-bit equal to the dense engine (the proptest anchor).
     pub const UNBOUNDED: BeamConfig = BeamConfig {
         width: usize::MAX,
         expansions_cap: u64::MAX,
@@ -152,8 +153,8 @@ pub struct Scored {
 /// *generator* rather than a filter), and every single-predicate factor
 /// `P′ = {i}` — the implicit-chain heads the exact argmin most often
 /// picks. Deduplicated and sorted **descending by mask**, the exact
-/// engines' submask order, so the evaluation loop's strict-`<` tie-break
-/// agrees with theirs on any shared prefix.
+/// engine's submask order, so the evaluation loop's strict-`<` tie-break
+/// agrees with its on any shared prefix.
 pub fn generate_candidates(m: u32, guidance: &[(u32, u32)], out: &mut Vec<u32>) {
     out.clear();
     out.push(m);

@@ -33,26 +33,26 @@
 //!
 //! ## The dense subset-lattice engine
 //!
-//! The DP runs in one of two modes, chosen from `n` at construction (see
-//! [`DpStrategy`]):
+//! Every exact answer comes from one engine: the memo is a flat `2ⁿ`-slot
+//! [`DenseMemo`] indexed directly by mask, standard decompositions come
+//! from a memoized per-mask [`ComponentTable`], and the lattice is filled
+//! **bottom-up in ascending popcount order** per non-separable component
+//! (every `Sel(Q)` a subset walk reads has fewer predicates than the mask
+//! being solved, so it is already a plain indexed load). §3.4 pruning
+//! becomes one AND against a subset-OR table. Under [`DpStrategy::Auto`]
+//! it runs every query of up to 20 predicates; wider queries, or any
+//! query under [`DpStrategy::Beam`], run the top-down
+//! [`crate::beam`] search on an open-addressed [`FlatMemo`] instead.
 //!
-//! * **Dense** (`n ≤ 16` under `Auto`): the memo is a flat `2ⁿ`-slot
-//!   [`DenseMemo`] indexed directly by mask, standard decompositions come
-//!   from a memoized per-mask [`ComponentTable`], and the lattice is filled
-//!   **bottom-up in ascending popcount order** per non-separable component
-//!   (every `Sel(Q)` a subset walk reads has fewer predicates than the mask
-//!   being solved, so it is already a plain indexed load). §3.4 pruning
-//!   becomes one AND against a subset-OR table.
-//! * **Recursive** (large `n`): the original top-down recursion, with the
-//!   `HashMap` memo replaced by an open-addressed [`FlatMemo`].
-//!
-//! Both engines are **bit-identical**: every memo state's value is a pure
-//! function of its sub-states' values, the non-separable subset walk runs
-//! the same descending-submask order with the same strict-`<` tie-break,
-//! and separable products multiply components in the same ascending order —
-//! so visiting the identical state set in a different topological order
-//! reproduces the identical `f64`s (the property `tests/dense_engine.rs`
-//! pins and the 8-thread determinism suite relies on).
+//! At [`BeamConfig::UNBOUNDED`] that search is exhaustive and
+//! **bit-identical** to the dense engine: every memo state's value is a
+//! pure function of its sub-states' values, both walks run the same
+//! descending-submask order with the same strict-`<` tie-break and the
+//! same §3.4 keep test, and separable products multiply components in the
+//! same ascending order — so visiting the identical state set in a
+//! different topological order reproduces the identical `f64`s (the
+//! property `tests/beam.rs` pins and the 8-thread determinism suite relies
+//! on).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -79,57 +79,39 @@ pub(crate) use crate::link::filter_bounds;
 /// Default group-count cap when no statistic exists for a grouping
 /// attribute.
 pub(crate) const DEFAULT_GROUPS: f64 = 100.0;
-/// `Auto` uses the dense engine up to this many predicates (a `2¹⁶`-slot
-/// value table is 1 MiB — cheap next to the `3ⁿ` walk it accelerates).
-const DENSE_AUTO_MAX: usize = 16;
-/// Hard ceiling for [`DpStrategy::Dense`]: past this the `2ⁿ` tables cost
-/// real memory (2²⁰ slots ≈ 16 MiB) and the request falls back to the
-/// recursive engine.
-const DENSE_HARD_MAX: usize = 20;
+/// The widest query `Auto` answers exactly, on the dense engine: its
+/// `2ⁿ` value table is 16 MiB at `n = 20`, and its `O(3ⁿ)` walk takes
+/// seconds there.
+const DENSE_MAX: usize = 20;
+/// The widest query whose per-link memo takes the dense `n·2ⁿ` layout:
+/// 16 MiB at `n = 16`, where 320 MiB at `n = 20` would not be worth it.
+/// Wider dense fills use the open-addressed layout.
+const DENSE_PEEL_MAX: usize = 16;
 
-/// How the subset-lattice DP materializes its memo (see the module docs).
-/// Every strategy returns bit-identical results; only speed and memory
-/// differ.
+/// Which engine answers a query (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DpStrategy {
-    /// Dense for `n ≤ 16`, recursive above — the right call unless
-    /// benchmarking one engine specifically.
+    /// The exact dense engine up to `n = 20` predicates, the beam above —
+    /// the right call unless benchmarking the beam.
     #[default]
     Auto,
-    /// Force the flat `2ⁿ` tables (capped at `n ≤ 20`; larger queries fall
-    /// back to recursive regardless).
-    Dense,
-    /// Force the top-down recursion with open-addressed memos. Exact at
-    /// any `n`, but the walk is O(3ⁿ) — past `n = 20` expect seconds to
-    /// hours per query.
-    Recursive,
     /// Force the beam-search approximate engine (see [`crate::beam`]):
     /// bounded-frontier best-first decomposition search on the sparse
     /// memo, exact only at [`BeamConfig::UNBOUNDED`]. What `Auto` routes
-    /// `n > 20` to instead of the recursive cliff.
+    /// `n > 20` to instead of the exact `O(3ⁿ)` cliff.
     Beam,
 }
 
 impl DpStrategy {
-    /// Whether an `n`-predicate query runs on the dense tables.
-    fn use_dense(self, n: usize) -> bool {
-        match self {
-            DpStrategy::Auto => n <= DENSE_AUTO_MAX,
-            DpStrategy::Dense => n <= DENSE_HARD_MAX,
-            DpStrategy::Recursive | DpStrategy::Beam => false,
-        }
-    }
-
     /// Whether an `n`-predicate query runs on the beam-search approximate
-    /// engine. `Auto` stays exact through `n = 20` (dense to 16, recursive
-    /// above) and routes wider queries to the beam — an *approximate*
-    /// answer in bounded time instead of an exact one in O(3ⁿ); the
-    /// quality ladder labels such answers [`crate::Quality::Beam`].
+    /// engine. `Auto` stays exact through `n = 20` and routes wider
+    /// queries to the beam — an *approximate* answer in bounded time
+    /// instead of an exact one in O(3ⁿ); the quality ladder labels such
+    /// answers [`crate::Quality::Beam`].
     pub fn use_beam(self, n: usize) -> bool {
         match self {
-            DpStrategy::Auto => n > DENSE_HARD_MAX,
+            DpStrategy::Auto => n > DENSE_MAX,
             DpStrategy::Beam => true,
-            DpStrategy::Dense | DpStrategy::Recursive => false,
         }
     }
 }
@@ -149,7 +131,7 @@ pub struct EstimatorStats {
     pub histogram_time: Duration,
     /// Submask iterations the dense fill's non-separable walks ran,
     /// tripped walks included — the unit of the ladder's per-rung cost
-    /// rates (see [`DenseWork`]). Zero on the recursive and beam engines.
+    /// rates (see [`DenseWork`]). Zero on the beam engine.
     pub submasks: u64,
 }
 
@@ -221,24 +203,22 @@ pub struct SelectivityEstimator<'a> {
     /// Submask iterations walked by the dense fill (see
     /// [`EstimatorStats::submasks`]).
     submasks: u64,
-    /// Dense subset memo (flat `2ⁿ` table), present iff the resolved
-    /// strategy is dense. Exactly one of `memo_dense`/`memo_sparse` holds
-    /// this query's `Sel(P)` values.
+    /// Dense subset memo (flat `2ⁿ` table), present iff the dense engine
+    /// runs this query — the resolved strategy's one materialization.
+    /// Exactly one of `memo_dense`/`memo_sparse` holds this query's
+    /// `Sel(P)` values.
     memo_dense: Option<DenseMemo>,
-    /// Subset memo of the recursive engine (open-addressed, keyed by mask).
+    /// Subset memo of the beam engine (open-addressed, keyed by mask).
     memo_sparse: FlatMemo,
     /// Per-mask standard decompositions, memoized (dense engine only).
     comp_table: Option<ComponentTable>,
     /// Per-link memo keyed by `peel_key(i, cset)` — dense `n·2ⁿ` slots
-    /// when the dense engine runs at small `n` (the subset walk probes it
+    /// when the dense engine runs at `n ≤ 16` (the subset walk probes it
     /// hundreds of millions of times at `n = 16`), open-addressed
     /// otherwise.
     peel_memo: PeelMemo,
-    /// The resolved strategy (drives the per-request engine dispatch; the
-    /// memo layouts above are its materialization).
-    strategy: DpStrategy,
     /// Knobs of the beam-search approximate engine (only consulted when
-    /// `strategy.use_beam(n)` holds).
+    /// the beam engine runs this query).
     beam_cfg: BeamConfig,
     /// Beam-search observability, cumulative over the estimator's
     /// requests (see [`Self::beam_stats`]).
@@ -259,8 +239,8 @@ pub struct SelectivityEstimator<'a> {
     sit_driven: Option<Vec<(u32, u32)>>,
     /// Subset-OR rollup of `sit_driven` (dense engine only, built lazily):
     /// `prune_table[q]` ORs the attribute masks of every SIT whose
-    /// condition fits inside `q`, turning the §3.4 skip test into a single
-    /// AND.
+    /// condition fits inside `q`, turning [`keep_decomposition`] into a
+    /// single AND.
     prune_table: Option<Vec<u32>>,
     /// Optional cross-query cache, consulted after the per-query memos
     /// miss and written back on every computed link / join product (see
@@ -304,7 +284,6 @@ impl<'a> SelectivityEstimator<'a> {
             memo_sparse: FlatMemo::new(),
             comp_table: None,
             peel_memo: PeelMemo::sparse(),
-            strategy: DpStrategy::Auto,
             beam_cfg: BeamConfig::default(),
             beam_stats: BeamStats::default(),
             beam_guidance: None,
@@ -348,7 +327,7 @@ impl<'a> SelectivityEstimator<'a> {
     /// width to the bounded-frontier walk instead of an exact lattice.
     /// Ladder and service label such answers [`crate::Quality::Beam`].
     pub fn is_beam(&self) -> bool {
-        self.strategy.use_beam(self.ctx.predicates().len())
+        self.memo_dense.is_none()
     }
 
     /// Beam-search instrumentation, cumulative over every request this
@@ -359,20 +338,11 @@ impl<'a> SelectivityEstimator<'a> {
     }
 
     fn apply_strategy(&mut self, strategy: DpStrategy) {
-        self.strategy = strategy;
         let n = self.ctx.predicates().len();
-        if strategy.use_dense(n) {
-            self.memo_dense = Some(DenseMemo::new(n));
-            self.comp_table = Some(ComponentTable::new(n));
-        } else {
-            self.memo_dense = None;
-            self.comp_table = None;
-        }
-        // The dense peel layout needs n·2ⁿ slots — worth it exactly where
-        // the dense subset walk hammers it (n ≤ 16 keeps the table ≤ 16
-        // MiB; DpStrategy::Dense reaches to n = 20, where 320 MiB would
-        // not be).
-        self.peel_memo = if strategy.use_dense(n) && n <= DENSE_AUTO_MAX {
+        let dense = !strategy.use_beam(n);
+        self.memo_dense = dense.then(|| DenseMemo::new(n));
+        self.comp_table = dense.then(|| ComponentTable::new(n));
+        self.peel_memo = if dense && n <= DENSE_PEEL_MAX {
             PeelMemo::dense(n)
         } else {
             PeelMemo::sparse()
@@ -574,12 +544,9 @@ impl<'a> SelectivityEstimator<'a> {
             return Ok(r);
         }
         if self.memo_dense.is_some() {
-            return self.fill_dense(p);
-        }
-        if self.is_beam() {
-            self.compute_beam(p)
+            self.fill_dense(p)
         } else {
-            self.compute_recursive(p)
+            self.compute_beam(p)
         }
     }
 
@@ -613,7 +580,7 @@ impl<'a> SelectivityEstimator<'a> {
             return self.fill_component(p);
         }
         // Separable (lines 4-7): solve each factor's sub-lattice, multiply
-        // in ascending component order — the recursion's exact arithmetic.
+        // in ascending component order — the beam's product, bit for bit.
         let mut sel = 1.0;
         let mut err = 0.0;
         let mut rest = p;
@@ -687,9 +654,9 @@ impl<'a> SelectivityEstimator<'a> {
     /// Lines 9-17 for a non-separable mask on the dense engine: every
     /// atomic decomposition `Sel(P′|Q)·Sel(Q)`, with `Sel(Q)` read straight
     /// from the flat table. Same descending-submask order and strict-`<`
-    /// tie-break as the recursion — bit-identical by construction. A budget
-    /// trip, polled every [`POLL_STRIDE`] iterations, aborts the walk
-    /// before `m` is committed.
+    /// tie-break as the beam's exhaustive walk — bit-identical by
+    /// construction. A budget trip, polled every [`POLL_STRIDE`]
+    /// iterations, aborts the walk before `m` is committed.
     fn solve_nonseparable(&mut self, m: PredSet) -> Result<(f64, f64), ExhaustReason> {
         let lc = link_ctx!(self);
         let memo = self.memo_dense.as_ref().expect("dense engine active");
@@ -752,8 +719,9 @@ impl<'a> SelectivityEstimator<'a> {
     }
 
     /// Subset-OR rollup of the §3.4 masks: `prune_table[q] = ⋃ {attr mask
-    /// of SITs whose condition ⊆ q}`, built with the standard
-    /// sum-over-subsets pass (one bit per round). Each round ORs the
+    /// of SITs whose condition ⊆ q}`, so that `p_prime == m || table[q] &
+    /// p_prime != 0` is exactly [`keep_decomposition`]. Built with the
+    /// standard sum-over-subsets pass (one bit per round). Each round ORs the
     /// lower half of every `2·bit` block into the upper half in 4-mask
     /// strips — branch-free and autovectorizable, unlike the classic
     /// per-mask `if m & bit` walk, and bit-for-bit the same table.
@@ -787,73 +755,12 @@ impl<'a> SelectivityEstimator<'a> {
         self.prune_table = Some(table);
     }
 
-    /// The original top-down recursion (large `n`), on open-addressed
-    /// memos and allocation-free decomposition chains.
-    fn compute_recursive(&mut self, p: PredSet) -> Result<(f64, f64), ExhaustReason> {
-        crate::failpoint::fire("dp::solve_mask");
-        if let Some(meter) = self.meter.as_deref() {
-            meter.charge(1)?;
-        }
-        let first = self.ctx.first_component(p);
-        let result = if first != p {
-            // Lines 4-7: separable — solve each non-separable factor of the
-            // standard decomposition independently (exact by Property 2).
-            let mut sel = 1.0;
-            let mut err = 0.0;
-            let mut rest = p;
-            while !rest.is_empty() {
-                let c = self.ctx.first_component(rest);
-                rest = rest.minus(c);
-                let (s, e) = self.try_get_selectivity(c)?;
-                sel *= s;
-                err += e;
-            }
-            (sel, err)
-        } else {
-            // Lines 9-17: non-separable — try every atomic decomposition
-            // Sel(P′|Q)·Sel(Q).
-            let meter_arc = self.meter.clone();
-            let mut poll = abort_poll(meter_arc.as_deref());
-            let mut best_err = f64::INFINITY;
-            let mut best_sel = DEFAULT_RANGE_SEL.powi(p.len() as i32);
-            let mut iters = 0u32;
-            for p_prime in p.subsets() {
-                iters = iters.wrapping_add(1);
-                if iters.is_multiple_of(POLL_STRIDE) {
-                    poll()?;
-                }
-                let q = p.minus(p_prime);
-                if let Some(masks) = &self.sit_driven {
-                    // §3.4: skip decompositions no SIT could improve. The
-                    // full-set factor (Q = ∅) always stays as fallback.
-                    let keep = p_prime == p
-                        || masks
-                            .iter()
-                            .any(|&(a, c)| a & p_prime.0 != 0 && c & !q.0 == 0);
-                    if !keep {
-                        continue;
-                    }
-                }
-                let (sel_q, err_q) = self.try_get_selectivity(q)?;
-                let (sel_f, err_f) = self.factor(p_prime, q);
-                let total = err_f + err_q;
-                if total < best_err {
-                    best_err = total;
-                    best_sel = (sel_f * sel_q).clamp(0.0, 1.0);
-                }
-            }
-            (best_sel, best_err)
-        };
-        self.memo_sparse.insert(p.0 as u64, result);
-        Ok(result)
-    }
-
-    /// The beam-search approximate engine (see [`crate::beam`]): the same
-    /// top-down structure as [`Self::compute_recursive`] on the same
-    /// sparse memos, but each non-separable set expands a bounded
-    /// candidate frontier instead of every submask. At
-    /// [`BeamConfig::UNBOUNDED`] the walk is the recursion verbatim —
-    /// values, memo entry sets, and peel counts bit-identical.
+    /// The beam-search approximate engine (see [`crate::beam`]): the
+    /// paper's top-down recursion on open-addressed memos, where each
+    /// non-separable set expands a bounded candidate frontier instead of
+    /// every submask. At [`BeamConfig::UNBOUNDED`] every expansion is
+    /// [`Self::beam_exhaustive`] — values, memo entry sets, and peel
+    /// counts bit-identical to the dense engine.
     fn compute_beam(&mut self, p: PredSet) -> Result<(f64, f64), ExhaustReason> {
         crate::failpoint::fire("dp::solve_mask");
         if let Some(meter) = self.meter.as_deref() {
@@ -929,14 +836,8 @@ impl<'a> SelectivityEstimator<'a> {
             }
             let p_prime = PredSet(mask);
             let q = m.minus(p_prime);
-            if let Some(masks) = &self.sit_driven {
-                let keep = p_prime == m
-                    || masks
-                        .iter()
-                        .any(|&(a, c)| a & p_prime.0 != 0 && c & !q.0 == 0);
-                if !keep {
-                    continue;
-                }
+            if !keep_decomposition(self.sit_driven.as_deref(), m, p_prime) {
+                continue;
             }
             let (sel_f, err_f) = self.factor(p_prime, q);
             scored.push(Scored { mask, sel_f, err_f });
@@ -970,12 +871,13 @@ impl<'a> SelectivityEstimator<'a> {
         Ok((best_sel, best_err))
     }
 
-    /// The unbounded-width expansion: [`Self::compute_recursive`]'s
-    /// non-separable loop verbatim (same interleaving of `Sel(Q)`
-    /// recursion and factor evaluation, same §3.4 keep test, same poll
-    /// cadence), so the beam engine at [`BeamConfig::UNBOUNDED`] is
-    /// bit-identical to the recursive engine — only the stats counters
-    /// differ.
+    /// The unbounded-width expansion: lines 9-17 of Figure 3, top-down —
+    /// every submask in the dense walk's descending order, recursing into
+    /// each `Sel(Q)` before evaluating its factor, with the same §3.4
+    /// keep test and strict-`<` tie-break — so the beam engine at
+    /// [`BeamConfig::UNBOUNDED`] is bit-identical to the dense engine
+    /// (values, memo entries, peel and view-matching counts); only the
+    /// stats counters differ.
     fn beam_exhaustive(&mut self, m: PredSet) -> Result<(f64, f64), ExhaustReason> {
         let meter_arc = self.meter.clone();
         let mut poll = abort_poll(meter_arc.as_deref());
@@ -992,14 +894,8 @@ impl<'a> SelectivityEstimator<'a> {
                 poll()?;
             }
             let q = m.minus(p_prime);
-            if let Some(masks) = &self.sit_driven {
-                let keep = p_prime == m
-                    || masks
-                        .iter()
-                        .any(|&(a, c)| a & p_prime.0 != 0 && c & !q.0 == 0);
-                if !keep {
-                    continue;
-                }
+            if !keep_decomposition(self.sit_driven.as_deref(), m, p_prime) {
+                continue;
             }
             let (sel_q, err_q) = self.try_get_selectivity(q)?;
             let (sel_f, err_f) = self.factor(p_prime, q);
@@ -1099,21 +995,12 @@ impl<'a> SelectivityEstimator<'a> {
     /// Replays the subset walk of one solved non-separable mask and
     /// recurses into the chosen conditioning set.
     fn replay_nonseparable(&mut self, m: PredSet, out: &mut Vec<(PredSet, PredSet)>) {
-        let sit_driven = self.sit_driven.clone();
         let mut best_err = f64::INFINITY;
         let mut best = None;
         for p_prime in m.subsets() {
             let q = m.minus(p_prime);
-            if let Some(masks) = &sit_driven {
-                // Same keep test as both engines (the dense prune table is
-                // the subset-OR rollup of exactly this predicate).
-                let keep = p_prime == m
-                    || masks
-                        .iter()
-                        .any(|&(a, c)| a & p_prime.0 != 0 && c & !q.0 == 0);
-                if !keep {
-                    continue;
-                }
+            if !keep_decomposition(self.sit_driven.as_deref(), m, p_prime) {
+                continue;
             }
             let (_, err_q) = if q.is_empty() {
                 (1.0, 0.0)
@@ -1167,6 +1054,23 @@ impl<'a> SelectivityEstimator<'a> {
             crate::link::pick_best_opt(self.matcher.catalog(), self.mode, &candidates, cset)?;
         Some(&self.matcher.catalog().get(id).histogram)
     }
+}
+
+/// §3.4's keep test for the atomic decomposition `Sel(P′|Q)·Sel(Q)` of
+/// `m`, where `Q = m \ P′`: with SIT-driven pruning on (`masks`, the
+/// `(attribute, condition)` masks of the usable SITs), keep it only if some
+/// SIT has its attribute in `P′` and its expression inside `Q`, or if
+/// `P′ = m`, the always-valid fallback. The dense engine reads the same
+/// test from its subset-OR rollup of `masks` (`prune_table`).
+#[inline]
+fn keep_decomposition(masks: Option<&[(u32, u32)]>, m: PredSet, p_prime: PredSet) -> bool {
+    let q = m.minus(p_prime);
+    masks.is_none_or(|masks| {
+        p_prime == m
+            || masks
+                .iter()
+                .any(|&(a, c)| a & p_prime.0 != 0 && c & !q.0 == 0)
+    })
 }
 
 /// Subset-walk iterations between budget polls inside the non-separable
@@ -1613,6 +1517,19 @@ mod tests {
         assert!(stats.vm_calls > 0);
     }
 
+    /// The unbounded beam: the top-down walk the dense engine is pinned
+    /// against.
+    fn unbounded<'a>(
+        db: &'a Database,
+        q: &SpjQuery,
+        cat: &'a SitCatalog,
+        mode: ErrorMode,
+    ) -> SelectivityEstimator<'a> {
+        SelectivityEstimator::new(db, q, cat, mode)
+            .with_strategy(DpStrategy::Beam)
+            .with_beam_config(BeamConfig::UNBOUNDED)
+    }
+
     #[test]
     fn stats_report_occupied_slots_not_capacity() {
         // The dense memo holds 2ⁿ slots and the flat peel table ≥ 64; the
@@ -1621,19 +1538,17 @@ mod tests {
         let db = skewed_db();
         let q = query(&db);
         let cat = full_catalog(&db);
-        let mut dense = SelectivityEstimator::new(&db, &q, &cat, ErrorMode::NInd)
-            .with_strategy(DpStrategy::Dense);
+        let mut dense = SelectivityEstimator::new(&db, &q, &cat, ErrorMode::NInd);
         dense.selectivity();
         assert_eq!(
             dense.stats().memo_entries,
             3,
             "occupied, not the 4-slot table"
         );
-        let mut rec = SelectivityEstimator::new(&db, &q, &cat, ErrorMode::NInd)
-            .with_strategy(DpStrategy::Recursive);
-        rec.selectivity();
-        assert_eq!(rec.stats().memo_entries, 3);
-        assert_eq!(dense.stats().peel_entries, rec.stats().peel_entries);
+        let mut beam = unbounded(&db, &q, &cat, ErrorMode::NInd);
+        beam.selectivity();
+        assert_eq!(beam.stats().memo_entries, 3);
+        assert_eq!(dense.stats().peel_entries, beam.stats().peel_entries);
         assert!(
             dense.stats().peel_entries < 64,
             "peel count must not report the table's minimum capacity"
@@ -1643,8 +1558,8 @@ mod tests {
     #[test]
     fn strategies_are_bit_identical_on_fixtures() {
         // Deterministic spot-check (the broad randomized version lives in
-        // tests/dense_engine.rs): every subset of both fixture queries, all
-        // engines, identical bits.
+        // tests/beam.rs): every subset of both fixture queries, dense and
+        // unbounded beam, identical bits.
         let db = skewed_db();
         let cat = full_catalog(&db);
         for q in [
@@ -1658,15 +1573,13 @@ mod tests {
             .unwrap(),
         ] {
             for mode in [ErrorMode::NInd, ErrorMode::Diff] {
-                let mut dense =
-                    SelectivityEstimator::new(&db, &q, &cat, mode).with_strategy(DpStrategy::Dense);
-                let mut rec = SelectivityEstimator::new(&db, &q, &cat, mode)
-                    .with_strategy(DpStrategy::Recursive);
+                let mut dense = SelectivityEstimator::new(&db, &q, &cat, mode);
+                let mut beam = unbounded(&db, &q, &cat, mode);
                 let n = q.predicates.len();
                 for mask in 1u32..(1 << n) {
                     let p = PredSet(mask);
                     let (sd, ed) = dense.get_selectivity(p);
-                    let (sr, er) = rec.get_selectivity(p);
+                    let (sr, er) = beam.get_selectivity(p);
                     assert_eq!(sd.to_bits(), sr.to_bits(), "sel mask {mask:#b}");
                     assert_eq!(ed.to_bits(), er.to_bits(), "err mask {mask:#b}");
                 }
@@ -1677,21 +1590,18 @@ mod tests {
     #[test]
     fn sit_driven_pruning_identical_across_strategies() {
         // The dense engine's subset-OR prune table must keep exactly the
-        // decompositions the mask loop keeps.
+        // decompositions `keep_decomposition` keeps.
         let db = skewed_db();
         let q = query(&db);
         let cat = full_catalog(&db);
-        let mut dense = SelectivityEstimator::new(&db, &q, &cat, ErrorMode::Diff)
-            .with_strategy(DpStrategy::Dense)
-            .with_sit_driven_pruning();
-        let mut rec = SelectivityEstimator::new(&db, &q, &cat, ErrorMode::Diff)
-            .with_strategy(DpStrategy::Recursive)
-            .with_sit_driven_pruning();
+        let mut dense =
+            SelectivityEstimator::new(&db, &q, &cat, ErrorMode::Diff).with_sit_driven_pruning();
+        let mut beam = unbounded(&db, &q, &cat, ErrorMode::Diff).with_sit_driven_pruning();
         let (sd, ed) = dense.get_selectivity(dense.context().all());
-        let (sr, er) = rec.get_selectivity(rec.context().all());
+        let (sr, er) = beam.get_selectivity(beam.context().all());
         assert_eq!(sd.to_bits(), sr.to_bits());
         assert_eq!(ed.to_bits(), er.to_bits());
-        assert_eq!(dense.stats().peel_entries, rec.stats().peel_entries);
+        assert_eq!(dense.stats().peel_entries, beam.stats().peel_entries);
     }
 
     #[test]
@@ -1699,10 +1609,13 @@ mod tests {
         let db = skewed_db();
         let q = query(&db);
         let cat = full_catalog(&db);
-        for strategy in [DpStrategy::Dense, DpStrategy::Recursive] {
+        for beam in [false, true] {
             for mode in [ErrorMode::NInd, ErrorMode::Diff] {
-                let mut est =
-                    SelectivityEstimator::new(&db, &q, &cat, mode).with_strategy(strategy);
+                let mut est = if beam {
+                    unbounded(&db, &q, &cat, mode)
+                } else {
+                    SelectivityEstimator::new(&db, &q, &cat, mode)
+                };
                 let all = est.context().all();
                 let (_, err) = est.get_selectivity(all);
                 let links = est.chosen_decomposition(all);
@@ -1722,7 +1635,7 @@ mod tests {
                     .sum();
                 assert!(
                     (replay_err - err).abs() < 1e-12,
-                    "{mode:?}/{strategy:?}: replay {replay_err} vs dp {err}"
+                    "{mode:?}/beam {beam}: replay {replay_err} vs dp {err}"
                 );
             }
         }
@@ -1733,14 +1646,12 @@ mod tests {
         let db = skewed_db();
         let q = query(&db);
         let cat = full_catalog(&db);
-        let mut dense = SelectivityEstimator::new(&db, &q, &cat, ErrorMode::Diff)
-            .with_strategy(DpStrategy::Dense);
-        let mut rec = SelectivityEstimator::new(&db, &q, &cat, ErrorMode::Diff)
-            .with_strategy(DpStrategy::Recursive);
+        let mut dense = SelectivityEstimator::new(&db, &q, &cat, ErrorMode::Diff);
+        let mut beam = unbounded(&db, &q, &cat, ErrorMode::Diff);
         let all = dense.context().all();
         assert_eq!(
             dense.chosen_decomposition(all),
-            rec.chosen_decomposition(all),
+            beam.chosen_decomposition(all),
             "both engines commit the identical argmin chain"
         );
     }
@@ -1831,17 +1742,14 @@ mod tests {
         let db = skewed_db();
         let q = query(&db);
         let cat = full_catalog(&db);
-        for strategy in [DpStrategy::Recursive, DpStrategy::Beam] {
-            let mut est =
-                SelectivityEstimator::new(&db, &q, &cat, ErrorMode::Diff).with_strategy(strategy);
+        for cfg in [BeamConfig::default(), BeamConfig::UNBOUNDED] {
+            let mut est = SelectivityEstimator::new(&db, &q, &cat, ErrorMode::Diff)
+                .with_strategy(DpStrategy::Beam)
+                .with_beam_config(cfg);
             let all = est.context().all();
-            assert_eq!(est.dense_work(all), None, "{strategy:?}");
+            assert_eq!(est.dense_work(all), None, "{cfg:?}");
             est.get_selectivity(all);
-            assert_eq!(
-                est.stats().submasks,
-                0,
-                "{strategy:?} walks no dense lattice"
-            );
+            assert_eq!(est.stats().submasks, 0, "{cfg:?} walks no dense lattice");
         }
     }
 
@@ -1850,9 +1758,8 @@ mod tests {
         let db = skewed_db();
         let q = query(&db);
         let cat = full_catalog(&db);
-        let mut pruned = SelectivityEstimator::new(&db, &q, &cat, ErrorMode::Diff)
-            .with_strategy(DpStrategy::Dense)
-            .with_sit_driven_pruning();
+        let mut pruned =
+            SelectivityEstimator::new(&db, &q, &cat, ErrorMode::Diff).with_sit_driven_pruning();
         let all = pruned.context().all();
         let (sel, err) = pruned.get_selectivity(all);
         let links = pruned.chosen_decomposition(all);

@@ -8,18 +8,19 @@
 //!
 //! * [`DenseMemo`] — a `Vec<(f64, f64)>` indexed **directly** by the
 //!   [`crate::predset::PredSet`] mask, with a validity bitmap. A probe is
-//!   one bit test plus one indexed load. Used when the query is small
-//!   enough that the full `2ⁿ` table is affordable.
+//!   one bit test plus one indexed load. The subset memo of every exact
+//!   estimate (`n ≤ 20`).
 //! * [`FlatMemo`] — an open-addressed, linear-probing table keyed by `u64`
-//!   with Fibonacci hashing. Used as the subset memo of the recursive
-//!   fallback engine when `n` is too large for a dense table, and as the
-//!   sparse layout behind [`PeelMemo`].
+//!   with Fibonacci hashing. The subset memo of the beam engine, which
+//!   visits a sparse set of states at any `n`, and the sparse layout
+//!   behind [`PeelMemo`].
 //! * [`PeelMemo`] — the per-link memo keyed by `(predicate, conditioning
 //!   set)`. The `3ⁿ` subset walk probes it ~5 times per iteration (hundreds
-//!   of millions of probes at `n = 16`), so when the dense engine runs and
-//!   `n` is small enough it uses a **dense** `n·2ⁿ` layout whose probe is a
-//!   shift, a bit test, and one indexed load — no hashing, no probing
-//!   chain. Larger queries fall back to the open-addressed layout.
+//!   of millions of probes at `n = 16`), so when the dense engine runs at
+//!   `n ≤ 16` it uses a **dense** `n·2ⁿ` layout whose probe is a shift, a
+//!   bit test, and one indexed load — no hashing, no probing chain. Wider
+//!   dense fills (`n = 17–20`, where the layout would cost up to 320 MiB)
+//!   and the beam use the open-addressed layout.
 //!
 //! All tables report `len()` as **occupied entries**, never capacity, so
 //! [`crate::EstimatorStats`] stays meaningful across table layouts.
@@ -269,7 +270,7 @@ impl DensePeel {
 }
 
 /// The per-link peel memo, in whichever layout fits the query: dense
-/// direct-indexed slots when the dense engine runs on a small-enough `n`,
+/// direct-indexed slots when the dense engine runs at `n ≤ 16`,
 /// open-addressed otherwise. Both layouts are keyed by the same packed
 /// [`peel_key`], so every call site is layout-oblivious.
 #[derive(Debug, Clone)]
@@ -277,7 +278,7 @@ pub enum PeelMemo {
     /// Direct-indexed `n·2ⁿ` table (the subset walk's probe becomes a
     /// shift + bit test + load).
     Dense(DensePeel),
-    /// Open-addressed fallback (recursive engine, or `n` past the dense
+    /// Open-addressed fallback (the beam engine, or `n` past the dense
     /// peel cap where `n·2ⁿ` slots cost real memory).
     Sparse(FlatMemo),
 }

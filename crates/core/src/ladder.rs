@@ -60,14 +60,15 @@
 //!
 //! ## Skipping a rung that cannot finish
 //!
-//! Before a DP rung that runs the dense engine (under `Auto`, `n ≤ 16`),
-//! the ladder takes the rung's exact work from the estimator it is about
-//! to run: [`SelectivityEstimator::dense_work`] counts the masks the fill
-//! solves and the submask iterations it walks, on the estimator's own
-//! component table, which the fill then reuses. The pruned rung walks the
-//! same submasks (pruning skips decompositions inside the walk, not
-//! iterations of it), so it reuses the full rung's count. The rung is
-//! skipped — reported through [`MetricsSink::rung_skipped`] in place of
+//! Before a DP rung that runs the dense engine (under `Auto`, every exact
+//! width: `n ≤ 20`), the ladder takes the rung's exact work from the
+//! estimator it is about to run: [`SelectivityEstimator::dense_work`]
+//! counts the masks the fill solves and the submask iterations it walks,
+//! on the estimator's own component table, which the fill then reuses.
+//! The pruned rung walks the same submasks (pruning skips decompositions
+//! inside the walk, not iterations of it), so it reuses the full rung's
+//! count. The rung is skipped — reported through
+//! [`MetricsSink::rung_skipped`] in place of
 //! [`MetricsSink::rung_attempted`] — in two cases:
 //!
 //! * **Quota**: its mask count exceeds its cap. A rung charges one unit
@@ -93,8 +94,7 @@
 //! progress: the first masks of a fill are peel-heavy, so a projection
 //! from early progress reads several times too high.
 //!
-//! Unlimited budgets, the recursive widths (17–20 under `Auto`) and the
-//! beam engine never reach the rule.
+//! Unlimited budgets and the beam engine never reach the rule.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -370,7 +370,7 @@ impl<'a> Ladder<'a> {
             // bounded walk saves by reuse (measured 4–5× on the seeded
             // 32-predicate workload), and beam answers never enter the
             // query-level cache anyway — only exact `Full` ones do.
-            if !strategy.use_beam(query.predicates.len()) {
+            if !est.is_beam() {
                 est = est.with_shared_cache(c);
             }
         }
@@ -540,19 +540,18 @@ impl<'a> Ladder<'a> {
         }
 
         let mut work = 0u64;
-        // Whether the strategy routes this query's width to the beam
-        // engine: the top rung is then the beam itself (the exact walk is
-        // unaffordable by construction) and the dedicated middle rung is
-        // redundant.
-        let routed = self.strategy.use_beam(query.predicates.len());
         let cancel = &budget.cancel;
 
         // Rung 1: the best DP this query can get — full exact, or beam
-        // when routed — on half the allowance. Its exact work, counted
-        // on its own estimator, also serves the pruned rung, whose walk
-        // has the same shape.
-        let top = if routed { Quality::Beam } else { Quality::Full };
+        // when the strategy routes the query's width to the beam engine —
+        // on half the allowance. When routed, the top rung is the beam
+        // itself (the exact walk is unaffordable by construction) and the
+        // dedicated middle rung is redundant. The top rung's exact work,
+        // counted on its own estimator, also serves the pruned rung, whose
+        // walk has the same shape.
         let mut est = self.build_estimator(query, false);
+        let routed = est.is_beam();
+        let top = if routed { Quality::Beam } else { Quality::Full };
         let dense = est.dense_work(est.context().all());
         let slice = (
             budget.deadline.map(|d| start + d / 2),

@@ -23,8 +23,8 @@
 //! * [`estimator`] — the [`estimator::SelectivityEstimator`] implementing
 //!   algorithm `getSelectivity` (Figure 3): a memoized dynamic program over
 //!   predicate subsets returning the most accurate decomposition, run on a
-//!   dense flat-table subset-lattice engine (or a recursive fallback for
-//!   large queries — see [`estimator::DpStrategy`]);
+//!   dense flat-table subset-lattice engine up to 20 predicates and on the
+//!   [`beam`] search above (see [`estimator::DpStrategy`]);
 //! * [`flat`] — the flat memo tables behind the DP engine: a dense
 //!   mask-indexed value table and an open-addressed `u64`-keyed table;
 //! * [`cache`] — canonical cache keys and the cross-query shared-cache

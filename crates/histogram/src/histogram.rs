@@ -1,6 +1,6 @@
 //! Histogram representation, estimation, and the histogram join.
 
-use crate::kernels::{count_le, count_lt, join_segments};
+use crate::kernels::join_segments;
 
 /// One histogram bucket over the inclusive value range `[lo, hi]`.
 ///
@@ -54,10 +54,9 @@ impl Bucket {
 /// binary search plus two CDF lookups instead of an `O(b)` bucket scan —
 /// these kernels sit under every peel, view-match filter estimate, and
 /// `H3` join of the estimator. The CDFs — and the structure-of-arrays
-/// bound columns `los`/`his` that the branchless searches of
-/// [`crate::kernels`] probe — are derived state: they are rebuilt by
-/// [`Histogram::new`], excluded from equality, and never serialized (the
-/// wire format stays `{buckets, null_count}`).
+/// bound columns `los`/`his` those binary searches probe — are derived
+/// state: they are rebuilt by [`Histogram::new`], excluded from equality,
+/// and never serialized (the wire format stays `{buckets, null_count}`).
 #[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: Vec<Bucket>,
@@ -70,8 +69,8 @@ pub struct Histogram {
     distinct_cdf: Vec<f64>,
     /// `los[k]` = `buckets[k].lo`: the bound column the range kernels
     /// search, split out of the 32-byte bucket struct so probes touch a
-    /// dense `i64` array (4× the bounds per cache line) and the branchless
-    /// search never loads freq/distinct it does not need.
+    /// dense `i64` array (4× the bounds per cache line) and the search
+    /// never loads freq/distinct it does not need.
     los: Vec<i64>,
     /// `his[k]` = `buckets[k].hi`, same layout.
     his: Vec<i64>,
@@ -213,10 +212,9 @@ impl Histogram {
         }
         // First bucket not entirely below the range, first bucket entirely
         // above it: buckets[a..b] are exactly the overlapping ones. Both
-        // searches run branchless over the SoA bound columns (equivalent to
-        // `partition_point(|bk| bk.hi < lo)` / `(|bk| bk.lo <= hi)`).
-        let a = count_lt(&self.his, lo);
-        let b = count_le(&self.los, hi);
+        // searches run over the SoA bound columns.
+        let a = self.his.partition_point(|&h| h < lo);
+        let b = self.los.partition_point(|&l| l <= hi);
         if a >= b {
             return 0.0;
         }
@@ -246,7 +244,7 @@ impl Histogram {
     /// [`Histogram::range_rows`] — every [`Histogram::cmp_selectivity`]
     /// call.
     fn covering_bucket(&self, v: i64) -> Option<&Bucket> {
-        let i = count_lt(&self.his, v);
+        let i = self.his.partition_point(|&h| h < v);
         self.buckets.get(i).filter(|b| b.lo <= v)
     }
 

@@ -25,7 +25,7 @@ pub mod build;
 pub mod diff;
 pub mod hist2d;
 pub mod histogram;
-pub mod kernels;
+mod kernels;
 pub mod maintain;
 pub mod sample;
 pub mod wavelet;
@@ -34,7 +34,6 @@ pub use build::{build_equi_depth, build_equi_width, build_exact, build_maxdiff, 
 pub use diff::{diff_exact, diff_from_histograms};
 pub use hist2d::Hist2d;
 pub use histogram::{Bucket, Histogram, JoinResult};
-pub use kernels::{count_le, count_le4, count_lt, count_lt4};
 pub use maintain::merge_delta;
 pub use sample::Sample;
 pub use wavelet::WaveletSynopsis;

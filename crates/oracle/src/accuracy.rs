@@ -5,8 +5,9 @@
 //! cross-checked against the independent [`ExactExecutor`] on every third
 //! query) and then runs a fixed grid of estimator variants — error mode ×
 //! SIT pool × §3.4 pruning — recording per-query q-error and relative
-//! error. Both DP engines are run for every estimate and must agree bit
-//! for bit; the measurement doubles as a differential test.
+//! error. Every estimate runs on the dense engine and on the unbounded
+//! beam, which must agree bit for bit; the measurement doubles as a
+//! differential test.
 //!
 //! Aggregates use the *nearest-rank* percentile (deterministic, no
 //! interpolation) and every reported float is rounded to six decimals so
@@ -18,8 +19,8 @@
 use std::sync::Arc;
 
 use sqe_core::{
-    build_pool, BackendKind, BnBackend, BnCatalog, BoundSketch, Budget, DiffBackend, DpStrategy,
-    ErrorMode, Ladder, PessimisticBackend, PoolSpec, Quality, SelectivityBackend,
+    build_pool, BackendKind, BeamConfig, BnBackend, BnCatalog, BoundSketch, Budget, DiffBackend,
+    DpStrategy, ErrorMode, Ladder, PessimisticBackend, PoolSpec, Quality, SelectivityBackend,
     SelectivityEstimator, SitCatalog,
 };
 use sqe_engine::CardinalityOracle;
@@ -265,12 +266,12 @@ fn measure_variant(
     let mut rel_errors = Vec::with_capacity(truths.len());
     let mut non_full_samples = 0u64;
     for (q, &truth) in sc.queries.iter().zip(truths) {
-        let dense = estimate(sc, pool, spec, q, DpStrategy::Dense, backend);
-        let recursive = estimate(sc, pool, spec, q, DpStrategy::Recursive, backend);
+        let dense = estimate(sc, pool, spec, q, DpStrategy::Auto, backend);
+        let beam = estimate(sc, pool, spec, q, DpStrategy::Beam, backend);
         assert_eq!(
             dense.to_bits(),
-            recursive.to_bits(),
-            "{}/{}: DP engines diverged",
+            beam.to_bits(),
+            "{}/{}: dense engine and unbounded beam diverged",
             sc.name,
             spec.name
         );
@@ -318,15 +319,15 @@ fn budgeted_estimate(
     q: &sqe_engine::SpjQuery,
     backend: &Arc<dyn SelectivityBackend>,
 ) -> sqe_core::BudgetedEstimate {
-    let mut ladder = Ladder::new(&sc.db, pool, spec.mode)
-        .with_strategy(DpStrategy::Dense)
-        .with_backend(Arc::clone(backend));
+    let mut ladder = Ladder::new(&sc.db, pool, spec.mode).with_backend(Arc::clone(backend));
     if spec.pruned {
         ladder = ladder.with_sit_driven_pruning();
     }
     ladder.estimate(q, &Budget::unlimited())
 }
 
+/// One exact estimate: the dense engine under `Auto`, the top-down walk
+/// under `Beam` at unbounded width.
 fn estimate(
     sc: &OracleScenario,
     pool: &SitCatalog,
@@ -337,6 +338,7 @@ fn estimate(
 ) -> f64 {
     let mut est = SelectivityEstimator::new(&sc.db, q, pool, spec.mode)
         .with_strategy(strategy)
+        .with_beam_config(BeamConfig::UNBOUNDED)
         .with_backend(Arc::clone(backend));
     if spec.pruned {
         est = est.with_sit_driven_pruning();

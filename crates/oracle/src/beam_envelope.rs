@@ -104,8 +104,7 @@ fn measure_scenario(sc: &OracleScenario) -> BeamEnvelopeScenario {
         .iter()
         .zip(&truths)
         .map(|(q, &truth)| {
-            let mut est = SelectivityEstimator::new(&sc.db, q, &pool, ErrorMode::Diff)
-                .with_strategy(DpStrategy::Dense);
+            let mut est = SelectivityEstimator::new(&sc.db, q, &pool, ErrorMode::Diff);
             let all = est.context().all();
             q_error(est.get_selectivity(all).0, truth)
         })

@@ -19,8 +19,8 @@
 //!   [`check_reference_dp`] recomputes `getSelectivity` with a 40-line
 //!   from-scratch implementation of the Figure 3 recurrence (plain
 //!   `HashMap` memo, no dense lattice, no pruning, no parallelism) and
-//!   requires both production engines to match it bit for bit;
-//!   [`check_chosen_decomposition`] replays the DP's chosen chain and
+//!   requires the dense engine and the unbounded beam to match it bit for
+//!   bit; [`check_chosen_decomposition`] replays the DP's chosen chain and
 //!   requires the links to partition the query and reproduce the DP error.
 //!
 //! [`CardinalityOracle`]: sqe_engine::CardinalityOracle
@@ -29,7 +29,7 @@ use std::collections::HashMap;
 
 use sqe_core::decomposition::enumerate_decompositions;
 use sqe_core::{
-    count_decompositions, decomposition_bounds, DpStrategy, ErrorMode, PredSet,
+    count_decompositions, decomposition_bounds, BeamConfig, DpStrategy, ErrorMode, PredSet,
     SelectivityEstimator, SitCatalog,
 };
 use sqe_engine::brute::{count_brute_force, DEFAULT_LIMIT};
@@ -270,26 +270,26 @@ fn reference_dp(
     result
 }
 
-/// Both production DP engines reproduce the reference recurrence bit for
-/// bit on the full query (unpruned; §3.4 pruning changes the explored
-/// space by design and is checked separately for engine agreement).
+/// The dense engine and the unbounded beam — the two exact walks, bottom
+/// up and top down — reproduce the reference recurrence bit for bit on
+/// the full query (unpruned; §3.4 pruning changes the explored space by
+/// design and is checked separately for engine agreement).
 pub fn check_reference_dp(
     db: &Database,
     query: &SpjQuery,
     catalog: &SitCatalog,
     mode: ErrorMode,
 ) -> Result<(), String> {
-    let mut reference_est =
-        SelectivityEstimator::new(db, query, catalog, mode).with_strategy(DpStrategy::Recursive);
+    let mut reference_est = SelectivityEstimator::new(db, query, catalog, mode);
     let all = reference_est.context().all();
     let mut memo = HashMap::new();
     let (ref_sel, ref_err) = reference_dp(&mut reference_est, all, &mut memo);
 
     for (label, strategy) in [
-        ("dense", DpStrategy::Dense),
-        ("recursive", DpStrategy::Recursive),
+        ("dense", DpStrategy::Auto),
+        ("unbounded beam", DpStrategy::Beam),
     ] {
-        let mut est = SelectivityEstimator::new(db, query, catalog, mode).with_strategy(strategy);
+        let mut est = exact_estimator(db, query, catalog, mode, strategy);
         let (sel, err) = est.get_selectivity(all);
         if sel.to_bits() != ref_sel.to_bits() || err.to_bits() != ref_err.to_bits() {
             return Err(format!(
@@ -301,8 +301,8 @@ pub fn check_reference_dp(
 }
 
 /// The replayed chosen decomposition partitions the query and its factor
-/// errors re-add to the DP error (same additions, same order), for both
-/// engines and with pruning both off and on.
+/// errors re-add to the DP error (same additions, same order), for the
+/// dense engine and the unbounded beam, and with pruning both off and on.
 pub fn check_chosen_decomposition(
     db: &Database,
     query: &SpjQuery,
@@ -310,11 +310,11 @@ pub fn check_chosen_decomposition(
     mode: ErrorMode,
 ) -> Result<(), String> {
     for (label, strategy, pruned) in [
-        ("dense", DpStrategy::Dense, false),
-        ("recursive", DpStrategy::Recursive, false),
-        ("dense+pruning", DpStrategy::Dense, true),
+        ("dense", DpStrategy::Auto, false),
+        ("unbounded beam", DpStrategy::Beam, false),
+        ("dense+pruning", DpStrategy::Auto, true),
     ] {
-        let mut est = SelectivityEstimator::new(db, query, catalog, mode).with_strategy(strategy);
+        let mut est = exact_estimator(db, query, catalog, mode, strategy);
         if pruned {
             est = est.with_sit_driven_pruning();
         }
@@ -341,6 +341,21 @@ pub fn check_chosen_decomposition(
         }
     }
     Ok(())
+}
+
+/// An estimator answering exactly: the dense engine under `Auto` (the
+/// oracle's queries stay within its 20 predicates), the top-down walk
+/// under `Beam` at unbounded width.
+fn exact_estimator<'a>(
+    db: &'a Database,
+    query: &SpjQuery,
+    catalog: &'a SitCatalog,
+    mode: ErrorMode,
+    strategy: DpStrategy,
+) -> SelectivityEstimator<'a> {
+    SelectivityEstimator::new(db, query, catalog, mode)
+        .with_strategy(strategy)
+        .with_beam_config(BeamConfig::UNBOUNDED)
 }
 
 #[cfg(test)]

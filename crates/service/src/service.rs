@@ -39,9 +39,12 @@ pub struct ServiceConfig {
     /// Error mode every estimator runs under (part of every cache key, but
     /// fixed per service so concurrent estimates are comparable).
     pub mode: ErrorMode,
-    /// Subset-lattice DP engine every estimator runs on. All strategies are
-    /// bit-identical, so mixing them across a shared cache is safe — this
-    /// knob exists for memory control and engine benchmarking.
+    /// Which engine answers each query: under `Auto` (the default) the
+    /// exact dense engine up to 20 predicates and the beam above, under
+    /// `Beam` the approximate beam at every width. The two answer
+    /// differently, but every per-link factor they share through the
+    /// snapshot's cache is exact under both, and only `Full` answers enter
+    /// the whole-query cache.
     pub dp_strategy: DpStrategy,
     /// Admission bound for the *budgeted* endpoints
     /// ([`EstimationService::estimate_with_budget`] and its batch
@@ -643,12 +646,12 @@ impl EstimationService {
         }
     }
 
-    /// The one estimate path. Probes the whole-query cache (unless the
-    /// strategy routes the query to the beam engine: approximate answers
-    /// never enter that cache, which holds exact `Full` answers only — the
-    /// invariant a budgeted hit relies on), runs the [`Ladder`] on a miss,
-    /// caches a `Full` answer, and reports the finished [`Estimate`],
-    /// upper bound included, once.
+    /// The one estimate path. Probes the whole-query cache, runs the
+    /// [`Ladder`] on a miss, caches a `Full` answer, and reports the
+    /// finished [`Estimate`], upper bound included, once. The cache holds
+    /// exact `Full` answers only — the invariant a budgeted hit relies on
+    /// — so a query the ladder answers on a lower rung, or routes to the
+    /// beam, misses every time.
     fn estimate_in(
         &self,
         snapshot: &CatalogSnapshot,
@@ -656,10 +659,8 @@ impl EstimationService {
         budget: &Budget,
     ) -> Estimate {
         let start = Instant::now();
-        let routed = self.config.dp_strategy.use_beam(query.predicates.len());
-        let key = (!routed).then(|| CacheKey::query(self.config.mode, &query.predicates));
-        let hit = key.as_ref().and_then(|k| snapshot.cache.get_query(k));
-        let (selectivity, error, quality, reason, cached) = match hit {
+        let key = CacheKey::query(self.config.mode, &query.predicates);
+        let (selectivity, error, quality, reason, cached) = match snapshot.cache.get_query(&key) {
             // Only Full answers are ever inserted, so a hit *is* a Full
             // answer regardless of this request's budget.
             Some((s, e)) => (s, e, Quality::Full, None, true),
@@ -675,7 +676,7 @@ impl EstimationService {
                     ladder = ladder.with_sit2_catalog(sit2);
                 }
                 let b = ladder.estimate(query, budget);
-                if let (Some(key), Quality::Full) = (key, b.quality) {
+                if b.quality == Quality::Full {
                     let error = b.error.expect("full answers carry an error");
                     snapshot.cache.put_query(key, (b.selectivity, error));
                 }

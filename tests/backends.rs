@@ -7,11 +7,11 @@
 //!   [`DiffBackend`] is indistinguishable from one built before the trait
 //!   existed: same `(selectivity, error)` bits over the whole subset
 //!   lattice *and* the same memo/peel/view-matching instrumentation,
-//!   across Dense/Recursive/Beam engines and budget cancellation (the
+//!   on the dense engine and the beam, and under budget cancellation (the
 //!   armed-failpoint case lives in `tests/chaos.rs`);
 //! * **engine-independence of every backend** — the BN backend intercepts
-//!   peels, so Dense and Recursive must still agree bit for bit with it
-//!   installed;
+//!   peels, so the dense engine and the unbounded beam must still agree
+//!   bit for bit with it installed;
 //! * **soundness of the pessimistic backend** — `upper_bound` dominates
 //!   the true cardinality on every seeded oracle scenario (truth from the
 //!   independent [`ExactExecutor`]), including the dangling-FK scenario
@@ -87,7 +87,9 @@ fn lattice_with_stats(
     pruning: bool,
     backend: Option<&Arc<dyn SelectivityBackend>>,
 ) -> (Vec<(u64, u64)>, (usize, usize, u64)) {
-    let mut est = SelectivityEstimator::new(db, q, catalog, mode).with_strategy(strategy);
+    let mut est = SelectivityEstimator::new(db, q, catalog, mode)
+        .with_strategy(strategy)
+        .with_beam_config(BeamConfig::UNBOUNDED);
     if let Some(b) = backend {
         est = est.with_backend(Arc::clone(b));
     }
@@ -113,8 +115,9 @@ proptest! {
 
     /// The tentpole refactor's bit-identity contract: an explicit
     /// [`DiffBackend`] changes nothing — not the `(sel, err)` bits of any
-    /// lattice mask, and not the memo/peel/view-matching counts — under
-    /// either exact engine, either mode, with and without §3.4 pruning.
+    /// lattice mask, and not the memo/peel/view-matching counts — on the
+    /// dense engine and the unbounded beam, either mode, with and without
+    /// §3.4 pruning.
     #[test]
     fn explicit_diff_backend_is_bit_identical_to_default(
         db in small_db(),
@@ -126,7 +129,7 @@ proptest! {
             .expect("pool build");
         let diff: Arc<dyn SelectivityBackend> = Arc::new(DiffBackend);
         for mode in [ErrorMode::NInd, ErrorMode::Diff] {
-            for strategy in [DpStrategy::Dense, DpStrategy::Recursive] {
+            for strategy in [DpStrategy::Auto, DpStrategy::Beam] {
                 let (base_bits, base_stats) =
                     lattice_with_stats(&db, &q, &catalog, mode, strategy, pruning, None);
                 let (bits, stats) =
@@ -160,8 +163,9 @@ proptest! {
     }
 
     /// A non-default backend must still be engine-independent: the BN
-    /// backend intercepts filter peels, and Dense must agree with
-    /// Recursive bit for bit over the whole lattice with it installed.
+    /// backend intercepts filter peels, and the dense engine must agree
+    /// with the unbounded beam bit for bit over the whole lattice with it
+    /// installed.
     #[test]
     fn bn_backend_is_engine_and_schedule_independent(
         db in small_db(),
@@ -173,12 +177,11 @@ proptest! {
         let bn: Arc<dyn SelectivityBackend> =
             Arc::new(BnBackend::new(Arc::new(BnCatalog::build(&db))));
         for mode in [ErrorMode::NInd, ErrorMode::Diff] {
-            let (rec, _) = lattice_with_stats(
-                &db, &q, &catalog, mode, DpStrategy::Recursive, pruning, Some(&bn),
-            );
+            let (beam, _) =
+                lattice_with_stats(&db, &q, &catalog, mode, DpStrategy::Beam, pruning, Some(&bn));
             let (dense, _) =
-                lattice_with_stats(&db, &q, &catalog, mode, DpStrategy::Dense, pruning, Some(&bn));
-            prop_assert_eq!(&dense, &rec, "bn dense vs recursive, {:?}", mode);
+                lattice_with_stats(&db, &q, &catalog, mode, DpStrategy::Auto, pruning, Some(&bn));
+            prop_assert_eq!(&dense, &beam, "bn dense vs unbounded beam, {:?}", mode);
         }
     }
 }
@@ -223,15 +226,13 @@ fn chain_db_and_query() -> (Database, SpjQuery) {
 fn diff_backend_identity_survives_budget_cancellation() {
     let (db, q) = chain_db_and_query();
     let catalog = build_pool(&db, std::slice::from_ref(&q), PoolSpec::ji(1)).unwrap();
-    let mut base = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_strategy(DpStrategy::Dense);
+    let mut base = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff);
     let (ss, se) = base.get_selectivity(base.context().all());
 
     // Measure the full cost through the backend-threaded path, then grant
     // half: the meter charges must be unchanged by the refactor too.
     let gauge = Arc::new(BudgetMeter::start(&Budget::unlimited()));
     let mut measured = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_strategy(DpStrategy::Dense)
         .with_backend(Arc::new(DiffBackend))
         .with_budget_meter(Arc::clone(&gauge));
     measured
@@ -239,7 +240,6 @@ fn diff_backend_identity_survives_budget_cancellation() {
         .expect("unlimited meter cannot trip");
     let baseline_gauge = Arc::new(BudgetMeter::start(&Budget::unlimited()));
     let mut baseline_measured = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_strategy(DpStrategy::Dense)
         .with_budget_meter(Arc::clone(&baseline_gauge));
     baseline_measured
         .try_get_selectivity(baseline_measured.context().all())
@@ -253,7 +253,6 @@ fn diff_backend_identity_survives_budget_cancellation() {
     let quota = (gauge.spent() / 2).max(1);
     let tight = Arc::new(BudgetMeter::start(&Budget::unlimited().with_quota(quota)));
     let mut est = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_strategy(DpStrategy::Dense)
         .with_backend(Arc::new(DiffBackend))
         .with_budget_meter(Arc::clone(&tight));
     match est.try_get_selectivity(est.context().all()) {
@@ -264,7 +263,6 @@ fn diff_backend_identity_survives_budget_cancellation() {
         }
     }
     let mut fresh = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_strategy(DpStrategy::Dense)
         .with_backend(Arc::new(DiffBackend));
     let (fs, fe) = fresh.get_selectivity(fresh.context().all());
     assert_eq!(fs.to_bits(), ss.to_bits());

@@ -4,6 +4,8 @@
 //! a labeled answer immediately — and the rule that skips a dense rung
 //! whose exact work cannot fit its slice.
 
+mod common;
+
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -412,4 +414,30 @@ fn a_quota_slice_below_the_mask_count_skips_the_rung_uncharged() {
 
     ladder.estimate(&query, &Budget::unlimited().with_quota(2 * masks));
     assert_eq!(log.take().first(), Some(&("attempted", Quality::Full)));
+}
+
+/// The skip rule covers every exact width: an 18-predicate query's full
+/// rung is counted on the dense engine too, and a quota slice below its
+/// mask count skips it.
+#[test]
+fn an_18_predicate_query_skips_a_full_rung_below_its_mask_count() {
+    let (db, query) = common::spread_filters();
+    let catalog = base_catalog(&db, 5, 2);
+    let mut est = SelectivityEstimator::new(&db, &query, &catalog, ErrorMode::Diff);
+    let masks = est
+        .dense_work(est.context().all())
+        .expect("n = 18 runs the dense engine")
+        .masks;
+    let log = RungLog::default();
+    let ladder = Ladder::new(&db, &catalog, ErrorMode::Diff).with_metrics(&log);
+
+    // The full rung's slice is ⌊Q/2⌋ = masks − 1.
+    let got = ladder.estimate(&query, &Budget::unlimited().with_quota(2 * masks - 1));
+    let events = log.take();
+    assert_eq!(events.first(), Some(&("skipped", Quality::Full)));
+    assert!(
+        !events.contains(&("attempted", Quality::Full)),
+        "{events:?}"
+    );
+    assert_eq!(got.degraded_reason, Some(DegradeReason::WorkQuota));
 }

@@ -747,14 +747,12 @@ fn diff_backend_identity_survives_armed_failpoints() {
     failpoint::disarm_all();
     let (db, q) = chain_db_and_query();
     let catalog = build_pool(&db, std::slice::from_ref(&q), PoolSpec::ji(1)).unwrap();
-    let mut base = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_strategy(DpStrategy::Dense);
+    let mut base = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff);
     let (ss, se) = base.get_selectivity(base.context().all());
 
     failpoint::arm_with("dp::solve_mask", Action::Panic, 64, None, 9);
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let mut est = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-            .with_strategy(DpStrategy::Dense)
             .with_backend(Arc::new(DiffBackend));
         est.get_selectivity(est.context().all())
     }));
@@ -764,7 +762,6 @@ fn diff_backend_identity_survives_armed_failpoints() {
         assert_eq!(e.to_bits(), se.to_bits(), "survived arm");
     }
     let mut fresh = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_strategy(DpStrategy::Dense)
         .with_backend(Arc::new(DiffBackend));
     let (fs, fe) = fresh.get_selectivity(fresh.context().all());
     assert_eq!(fs.to_bits(), ss.to_bits(), "fresh after chaos");
@@ -780,8 +777,7 @@ fn beam_survives_armed_failpoints() {
     let _guard = failpoint::test_serial_guard();
     let (db, q) = chain_db_and_query();
     let catalog = build_pool(&db, std::slice::from_ref(&q), PoolSpec::ji(1)).unwrap();
-    let mut serial = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_strategy(DpStrategy::Recursive);
+    let mut serial = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff);
     let (ss, se) = serial.get_selectivity(serial.context().all());
 
     failpoint::arm_with("dp::solve_mask", Action::Panic, 64, None, 7);
