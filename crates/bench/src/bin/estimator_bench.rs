@@ -15,11 +15,12 @@
 //! Each dense row also runs its queries once more, each on a fresh
 //! estimator attached to **one shared cache** (`ShardedCache::new(16,
 //! 4096)`, the shape of a service snapshot's cache) kept for the whole
-//! row: the cost of the shared cache's miss path — every link the walk
-//! computes is looked up, inserted and, once a shard fills, evicts an
-//! older entry. The row reports that median beside the cache-free one,
-//! with the cache's hit fraction and eviction count; every cache-attached
-//! answer is asserted bit-identical to the cache-free one.
+//! row: what SIT-pair product sharing costs or saves across distinct
+//! queries — every join and `H3` product the walk needs is looked up
+//! there, and each one computed is inserted. The row reports that median
+//! beside the cache-free one, with the cache's hit fraction and eviction
+//! count; every cache-attached answer is asserted bit-identical to the
+//! cache-free one.
 //!
 //! A second sweep covers the widths the exact engines cannot reach: for
 //! each `n` in `--beam-ns` (default 20, 24, 28, 32 — past the dense

@@ -3,8 +3,8 @@
 //! cache, plus the service's own metrics snapshot.
 //!
 //! Cold: every thread estimates a disjoint slice of the workload against a
-//! freshly built service (nothing cached; threads still share link /
-//! join-product work through the sharded cache as it fills). Warm: every
+//! freshly built service (nothing cached; threads still share SIT-pair
+//! join and `H3` products through the sharded cache as it fills). Warm: every
 //! thread then replays the *full* workload `reps` times against the now-hot
 //! snapshot, modeling concurrent sessions issuing recurring query shapes.
 //!

@@ -18,10 +18,9 @@
 //!   service's `Estimate::upper_bound` field and the `Quality::Bound`
 //!   degradation floor.
 //!
-//! A backend intercepts *before* the shared cross-query link cache is
-//! consulted: cached link values are keyed by `(mode, predicate,
-//! conditioning set)` only, so a non-default backend must not read or
-//! populate entries the default machinery owns.
+//! A backend intercepts a peel before the default machinery runs. What a
+//! shared cache holds beneath a peel — SIT-pair join and `H3` products —
+//! is a pure function of the pair, so it is the same under every backend.
 
 use sqe_engine::{Database, Predicate, SpjQuery};
 

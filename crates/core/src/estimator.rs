@@ -242,9 +242,9 @@ pub struct SelectivityEstimator<'a> {
     /// condition fits inside `q`, turning [`keep_decomposition`] into a
     /// single AND.
     prune_table: Option<Vec<u32>>,
-    /// Optional cross-query cache, consulted after the per-query memos
-    /// miss and written back on every computed link / join product (see
-    /// [`crate::cache`] for the validity contract).
+    /// Optional cross-query cache of SIT-pair join and `H3` products,
+    /// consulted after the per-query memos miss and written back on every
+    /// computed product (see [`crate::cache`] for the validity contract).
     shared: Option<&'a dyn SharedEstimatorCache>,
     /// Optional resource meter (see [`crate::budget`]): DP loops charge it
     /// — one unit per lattice mask solved plus one per freshly computed
@@ -363,9 +363,11 @@ impl<'a> SelectivityEstimator<'a> {
     }
 
     /// Attaches a cross-query shared cache. The estimator consults it when
-    /// its own memos miss and writes every freshly computed per-link factor
-    /// and SIT join product back, so concurrent and successive estimators
-    /// over the same catalog snapshot reuse each other's work.
+    /// its own memos miss a SIT-pair join product or `H3` histogram, and
+    /// writes every one it computes back, so concurrent and successive
+    /// estimators over the same catalog snapshot reuse each other's
+    /// histogram joins. Links are recomputed, never shared: they cost less
+    /// than a lookup would.
     ///
     /// The cache must only be shared among estimators with an identical
     /// configuration (database, catalogs, pruning) — see [`crate::cache`].
@@ -1023,8 +1025,7 @@ impl<'a> SelectivityEstimator<'a> {
     }
 
     /// Estimates the single-predicate conditional factor `Sel(pᵢ | cset)`,
-    /// memoized on `(i, cset)`. Shared-cache hooks fire exactly on
-    /// flat-table misses, as the HashMap version's did on map misses.
+    /// memoized on `(i, cset)`.
     fn peel(&mut self, i: usize, cset: PredSet) -> (f64, f64) {
         let key = peel_key(i, cset.0);
         if let Some(r) = self.peel_memo.get(key) {

@@ -338,9 +338,9 @@ impl<'a> Ladder<'a> {
         self
     }
 
-    /// Cross-query shared cache, forwarded to the DP rungs. Peel factors
+    /// Cross-query shared cache, forwarded to the dense DP rungs. Products
     /// written back by a degraded run are still exact (pruning and budget
-    /// trips never alter an individual factor, only which ones get
+    /// trips never alter an individual product, only which ones get
     /// computed), so the cache-validity contract of [`crate::cache`]
     /// holds on every rung.
     pub fn with_shared_cache(mut self, cache: &'a dyn SharedEstimatorCache) -> Self {
@@ -365,11 +365,14 @@ impl<'a> Ladder<'a> {
             est = est.with_sit2_catalog(s2);
         }
         if let Some(c) = self.shared {
-            // Beam rungs run cache-free: at the widths that use the beam,
-            // per-link cache round-trips cost more wall-clock than the
-            // bounded walk saves by reuse (measured 4–5× on the seeded
-            // 32-predicate workload), and beam answers never enter the
-            // query-level cache anyway — only exact `Full` ones do.
+            // Beam rungs run cache-free. With the product cache attached
+            // they run faster on `deadline-wide`, but the products they
+            // leave behind also let the full rung answer more requests
+            // inside its slice, which pushes that rung's traced time
+            // (`ladder.rung_us.full`, answering and wasted time alike) to
+            // CI's bound. Attaching them waits until that metric is split
+            // by outcome (ROADMAP.md). Beam answers never enter the
+            // query-level cache either way — only exact `Full` ones do.
             if !est.is_beam() {
                 est = est.with_shared_cache(c);
             }

@@ -27,8 +27,9 @@
 //!   [`beam`] search above (see [`estimator::DpStrategy`]);
 //! * [`flat`] — the flat memo tables behind the DP engine: a dense
 //!   mask-indexed value table and an open-addressed `u64`-keyed table;
-//! * [`cache`] — canonical cache keys and the cross-query shared-cache
-//!   interface consumed by the `sqe-service` estimation service;
+//! * [`cache`] — the whole-query cache key and the cross-query
+//!   shared-cache interface consumed by the `sqe-service` estimation
+//!   service;
 //! * [`delta`] — live catalogs: batched delta ingest with incremental
 //!   histogram maintenance, drift-triggered rebuilds, and per-SIT
 //!   staleness bounds;

@@ -21,7 +21,7 @@ use sqe_engine::{CardinalityOracle, ColRef, Database, Predicate};
 use sqe_histogram::Histogram;
 
 use crate::backend::{PeelQuery, SelectivityBackend};
-use crate::cache::{CacheKey, SharedEstimatorCache};
+use crate::cache::SharedEstimatorCache;
 use crate::error::ErrorMode;
 use crate::predset::{PredSet, QueryContext};
 use crate::sit::{SitCatalog, SitId};
@@ -41,7 +41,7 @@ pub(crate) type CandIndex = HashMap<ColRef, Vec<(SitId, u32)>>;
 
 /// The immutable context one peel evaluation reads: the query, the
 /// catalogs, the precomputed candidate indexes, and the optional shared
-/// cross-query cache.
+/// cache of SIT-pair products.
 pub(crate) struct LinkCtx<'e> {
     pub db: &'e Database,
     pub ctx: &'e QueryContext,
@@ -121,8 +121,14 @@ impl LinkState {
 }
 
 /// Computes the single-predicate conditional factor `Sel(pᵢ | cset)` —
-/// shared-cache consultation, join/filter dispatch, write-back — without
-/// touching any per-query memo (the caller owns memoization).
+/// backend interception, then join/filter dispatch — without touching any
+/// per-query memo (the caller owns memoization).
+///
+/// The link itself is never shared across queries: recomputing it from
+/// the estimator's warm per-SIT caches costs less than a cross-query
+/// lookup would. What is shared is the SIT-pair join and `H3` products
+/// beneath it ([`join_selectivity`], [`h3_join`]), which are pure
+/// functions of the pair.
 pub(crate) fn compute_peel(
     lc: &LinkCtx,
     st: &mut LinkState,
@@ -132,11 +138,8 @@ pub(crate) fn compute_peel(
 ) -> (f64, f64) {
     st.scratch.reset();
     let pred = *lc.ctx.predicate(i);
-    // Backend interception happens *before* the shared-cache consult: link
-    // cache keys do not encode backend identity, so a backend that answers
-    // this factor itself must neither read nor populate entries the
-    // default machinery owns. `DiffBackend` returns `None` here, making
-    // the remaining path byte-for-byte the pre-trait code.
+    // `DiffBackend` returns `None` here, making the remaining path
+    // byte-for-byte the pre-trait code.
     if let Some(result) = lc.backend.peel(&PeelQuery {
         db: lc.db,
         ctx: lc.ctx,
@@ -147,24 +150,11 @@ pub(crate) fn compute_peel(
         debug_assert!(result.0.is_finite() && result.1.is_finite());
         return result;
     }
-    // Cross-query lookup: the link's value depends only on the predicate,
-    // the conditioning *set*, and the mode (every in-link choice below
-    // breaks ties by value, never by within-query ordering), so the
-    // canonicalized key is exact.
-    let shared_key = lc.shared.map(|_| CacheKey::link(lc.mode, lc.ctx, i, cset));
-    if let (Some(cache), Some(k)) = (lc.shared, &shared_key) {
-        if let Some(r) = cache.get_link(k) {
-            return r;
-        }
-    }
     let result = match pred {
         Predicate::Join { .. } => peel_join(lc, st, oracle, i, &pred, cset),
         _ => peel_filter(lc, st, oracle, i, &pred, cset),
     };
     debug_assert!(result.0.is_finite() && result.1.is_finite());
-    if let (Some(cache), Some(k)) = (lc.shared, shared_key) {
-        cache.put_link(k, result);
-    }
     result
 }
 
@@ -272,10 +262,8 @@ fn peel_filter(
     // Option set: (error, coverage, estimate). Larger coverage wins ties;
     // smaller estimate wins remaining ties. Every tie-break key is a property
     // of the option itself — never its position — so the choice is
-    // invariant under predicate reordering, which cross-query link caching
-    // relies on (two queries listing the same conditioning set in
-    // different orders assemble this list in different orders). Options
-    // accumulate in the `opts` arena from `mark` onward.
+    // invariant under predicate reordering. Options accumulate in the
+    // `opts` arena from `mark` onward.
     let mark = st.scratch.opts.len();
 
     for ci in mask_candidates(lc, st, col, cset) {

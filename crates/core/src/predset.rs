@@ -223,9 +223,6 @@ pub struct QueryContext {
     /// subset are exactly the subset's standard-decomposition factors
     /// (Lemma 2), so separability becomes pure bit manipulation.
     adjacency: Vec<u32>,
-    /// Predicate indices sorted by `Predicate`'s `Ord` (ties by index), so
-    /// a canonical cache key is a filtered walk, not a sort per key.
-    sorted: Vec<u8>,
 }
 
 impl QueryContext {
@@ -269,8 +266,6 @@ impl QueryContext {
                     .fold(0u32, |acc, (j, _)| acc | (1 << j))
             })
             .collect();
-        let mut sorted: Vec<u8> = (0..query.predicates.len() as u8).collect();
-        sorted.sort_by_key(|&i| query.predicates[i as usize]);
         QueryContext {
             tables,
             predicates: query.predicates.clone(),
@@ -278,7 +273,6 @@ impl QueryContext {
             joins,
             table_rows,
             adjacency,
-            sorted,
         }
     }
 
@@ -315,15 +309,6 @@ impl QueryContext {
     /// Materializes a set as a vector of predicates.
     pub fn predicates_of(&self, set: PredSet) -> Vec<Predicate> {
         set.iter().map(|i| self.predicates[i]).collect()
-    }
-
-    /// The members of `set` in `Predicate` order, equal predicates
-    /// adjacent.
-    pub(crate) fn sorted_predicates_of(&self, set: PredSet) -> impl Iterator<Item = &Predicate> {
-        self.sorted
-            .iter()
-            .filter(move |&&i| set.contains(i as usize))
-            .map(|&i| &self.predicates[i as usize])
     }
 
     /// Bitmask of table slots referenced by a predicate set (`tables(P)`).

@@ -2,10 +2,11 @@
 //!
 //! One [`ShardedCache`] serves every estimator running against a catalog
 //! snapshot. Keys are spread across a power-of-two number of shards by
-//! hash, each shard a [`parking_lot::Mutex`] around four bounded LRU maps
-//! (conditional links, whole-query results, SIT-pair join selectivities,
-//! and `H3` histogram products), so concurrent estimators contend only
-//! when their keys land on the same shard.
+//! hash, each shard a [`parking_lot::Mutex`] around three bounded LRU maps
+//! (whole-query results, SIT-pair join selectivities, and `H3` histogram
+//! products), so concurrent estimators contend only when their keys land
+//! on the same shard. Links are not cached here: an estimator recomputes
+//! one faster than a lookup would answer it (see [`sqe_core::cache`]).
 //!
 //! Each call hashes its key exactly once, with SipHash keyed by the
 //! cache's own [`RandomState`]: tenants send predicates over HTTP, and an
@@ -33,8 +34,6 @@ pub(crate) type QueryResult = (f64, f64);
 
 /// One shard's maps, all bounded by the same per-shard capacity.
 struct Shard {
-    /// Conditional-factor results `Sel(P'|Q) -> (selectivity, error)`.
-    links: LruMap<CacheKey, (f64, f64)>,
     /// Whole-query results, keyed by order-preserving query keys.
     queries: LruMap<CacheKey, QueryResult>,
     /// SIT-pair join selectivities.
@@ -45,8 +44,8 @@ struct Shard {
 
 /// A sharded, bounded, internally synchronized estimator cache.
 ///
-/// Implements [`SharedEstimatorCache`] for the estimator's link/join/`H3`
-/// traffic and additionally caches whole-query results for
+/// Implements [`SharedEstimatorCache`] for the estimator's join and `H3`
+/// products and additionally caches whole-query results for
 /// [`crate::EstimationService::estimate`]. Lives inside a
 /// [`crate::CatalogSnapshot`] so its [`SitId`]-keyed entries can never
 /// outlive the catalog that defines them.
@@ -77,7 +76,6 @@ impl ShardedCache {
         let shards = (0..count)
             .map(|_| {
                 Mutex::new(Shard {
-                    links: LruMap::new(capacity_per_shard),
                     queries: LruMap::new(capacity_per_shard),
                     joins: LruMap::new(capacity_per_shard),
                     h3: LruMap::new(capacity_per_shard),
@@ -105,7 +103,7 @@ impl ShardedCache {
     /// A fresh cache pre-warmed with every entry of `old` that a partial
     /// catalog install provably keeps valid:
     ///
-    /// * link and whole-query entries survive unless their key
+    /// * whole-query entries survive unless their key
     ///   [`CacheKey::touches`] a mutated table;
     /// * join and `H3` entries survive unless either [`SitId`] of their
     ///   pair is in `stale_sits` — the SITs whose histogram this install
@@ -135,15 +133,6 @@ impl ShardedCache {
             |pair: &(SitId, SitId)| stale_sits.contains(&pair.0) || stale_sits.contains(&pair.1);
         for shard in old.shards.iter() {
             let shard = shard.lock();
-            for (k, v) in shard.links.iter_lru() {
-                if k.touches(touched_tables) {
-                    stats.dropped += 1;
-                } else {
-                    let (hash, to) = new.locate(k);
-                    to.lock().links.insert(hash, k.clone(), *v);
-                    stats.carried += 1;
-                }
-            }
             for (k, v) in shard.queries.iter_lru() {
                 if k.touches(touched_tables) {
                     stats.dropped += 1;
@@ -181,7 +170,7 @@ impl ShardedCache {
             .iter()
             .map(|s| {
                 let s = s.lock();
-                s.links.len() + s.queries.len() + s.joins.len() + s.h3.len()
+                s.queries.len() + s.joins.len() + s.h3.len()
             })
             .sum()
     }
@@ -260,25 +249,6 @@ impl ShardedCache {
 }
 
 impl SharedEstimatorCache for ShardedCache {
-    fn get_link(&self, key: &CacheKey) -> Option<(f64, f64)> {
-        if self.is_quarantined() {
-            return None;
-        }
-        let (hash, shard) = self.locate(key);
-        let found = shard.lock().links.get(hash, key).copied();
-        self.record(&found);
-        found
-    }
-
-    fn put_link(&self, key: CacheKey, value: (f64, f64)) {
-        if self.is_quarantined() {
-            return;
-        }
-        let (hash, shard) = self.locate(&key);
-        let evicted = shard.lock().links.insert(hash, key, value);
-        self.record_insert(evicted);
-    }
-
     fn get_join(&self, pair: (SitId, SitId)) -> Option<f64> {
         if self.is_quarantined() {
             return None;
@@ -360,16 +330,16 @@ mod tests {
 
     fn key(i: i64) -> CacheKey {
         let p = Predicate::filter(ColRef::new(TableId(0), 0), CmpOp::Eq, i);
-        CacheKey::conditional(ErrorMode::NInd, &[p], &[])
+        CacheKey::query(ErrorMode::NInd, &[p])
     }
 
     #[test]
-    fn round_trips_links_joins_and_h3() {
+    fn round_trips_queries_joins_and_h3() {
         let cache = ShardedCache::new(4, 64);
         let k = key(1);
-        assert_eq!(cache.get_link(&k), None);
-        cache.put_link(k.clone(), (0.25, 0.5));
-        assert_eq!(cache.get_link(&k), Some((0.25, 0.5)));
+        assert_eq!(cache.get_query(&k), None);
+        cache.put_query(k.clone(), (0.25, 0.5));
+        assert_eq!(cache.get_query(&k), Some((0.25, 0.5)));
 
         let pair = (SitId(3), SitId(7));
         assert_eq!(cache.get_join(pair), None);
@@ -391,12 +361,12 @@ mod tests {
     #[test]
     fn counters_track_hits_misses_and_evictions() {
         let cache = ShardedCache::new(1, 2);
-        assert_eq!(cache.get_link(&key(1)), None);
-        cache.put_link(key(1), (0.1, 0.0));
-        cache.put_link(key(2), (0.2, 0.0));
-        cache.put_link(key(3), (0.3, 0.0)); // evicts key(1) from the single shard
-        assert_eq!(cache.get_link(&key(1)), None);
-        assert_eq!(cache.get_link(&key(3)), Some((0.3, 0.0)));
+        assert_eq!(cache.get_query(&key(1)), None);
+        cache.put_query(key(1), (0.1, 0.0));
+        cache.put_query(key(2), (0.2, 0.0));
+        cache.put_query(key(3), (0.3, 0.0)); // evicts key(1) from the single shard
+        assert_eq!(cache.get_query(&key(1)), None);
+        assert_eq!(cache.get_query(&key(3)), Some((0.3, 0.0)));
         let c = cache.counters();
         assert_eq!(c.hits, 1);
         assert_eq!(c.misses, 2);
@@ -410,14 +380,14 @@ mod tests {
         let old = ShardedCache::new(2, 64);
         let t0 = |i| {
             let p = Predicate::filter(ColRef::new(TableId(0), 0), CmpOp::Eq, i);
-            CacheKey::conditional(ErrorMode::NInd, &[p], &[])
+            CacheKey::query(ErrorMode::NInd, &[p])
         };
         let t1 = |i| {
             let p = Predicate::filter(ColRef::new(TableId(1), 0), CmpOp::Eq, i);
-            CacheKey::conditional(ErrorMode::NInd, &[p], &[])
+            CacheKey::query(ErrorMode::NInd, &[p])
         };
-        old.put_link(t0(1), (0.1, 0.0));
-        old.put_link(t1(1), (0.2, 0.0));
+        old.put_query(t0(1), (0.1, 0.0));
+        old.put_query(t1(1), (0.2, 0.0));
         old.put_query(t1(2), (0.3, 0.0));
         old.put_join((SitId(0), SitId(1)), 0.5);
         old.put_join((SitId(2), SitId(3)), 0.6);
@@ -430,11 +400,11 @@ mod tests {
             &[TableId(0)], // table 0 mutated
             &[SitId(0)],   // SIT 0 refreshed
         );
-        // t0 link dropped; SIT-0 join and h3 dropped.
+        // t0 query dropped; SIT-0 join and h3 dropped.
         assert_eq!(stats.carried, 3);
         assert_eq!(stats.dropped, 3);
-        assert_eq!(new.get_link(&t0(1)), None);
-        assert_eq!(new.get_link(&t1(1)), Some((0.2, 0.0)));
+        assert_eq!(new.get_query(&t0(1)), None);
+        assert_eq!(new.get_query(&t1(1)), Some((0.2, 0.0)));
         assert_eq!(new.get_query(&t1(2)), Some((0.3, 0.0)));
         assert_eq!(new.get_join((SitId(0), SitId(1))), None);
         assert_eq!(new.get_join((SitId(2), SitId(3))), Some(0.6));
@@ -444,7 +414,7 @@ mod tests {
     #[test]
     fn carry_from_a_quarantined_cache_carries_nothing() {
         let old = ShardedCache::new(1, 8);
-        old.put_link(key(1), (0.1, 0.0));
+        old.put_query(key(1), (0.1, 0.0));
         old.quarantine();
         let (new, stats) = ShardedCache::carry_from(1, 8, &old, &[], &[]);
         assert_eq!(stats.carried, 0);
@@ -462,8 +432,8 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..200 {
                         let k = key(t * 1000 + i);
-                        cache.put_link(k.clone(), (i as f64, t as f64));
-                        assert_eq!(cache.get_link(&k), Some((i as f64, t as f64)));
+                        cache.put_query(k.clone(), (i as f64, t as f64));
+                        assert_eq!(cache.get_query(&k), Some((i as f64, t as f64)));
                     }
                 });
             }

@@ -14,14 +14,14 @@
 //!   cache probe, then the degradation [`sqe_core::Ladder`] (an unlimited
 //!   budget takes its meter-free fast path, a plain
 //!   [`sqe_core::SelectivityEstimator`] run), backed by a [`ShardedCache`]
-//!   that reuses per-link conditional factors and SIT join products
-//!   across queries and threads;
+//!   that reuses SIT-pair join and `H3` products across queries and
+//!   threads;
 //! * [`ShardedCache`] — N shards of `parking_lot::Mutex` around bounded
-//!   LRU maps, keyed by canonicalized
-//!   `(predicate-set, conditioning-set, error-mode)` fingerprints
-//!   ([`sqe_core::CacheKey`]). Each call hashes its key once with keyed
-//!   SipHash (tenants choose the predicates, so the hash must stay keyed);
-//!   the high bits pick the shard and the low bits probe a flat
+//!   LRU maps of whole-query results, keyed by the query's
+//!   `(error mode, predicate sequence)` ([`sqe_core::CacheKey`]), and of
+//!   SIT-pair products, keyed by the pair. Each call hashes its key once
+//!   with keyed SipHash (tenants choose the predicates, so the hash must
+//!   stay keyed); the high bits pick the shard and the low bits probe a flat
 //!   open-addressed index over the shard's entries. Keys are stored and
 //!   compared in full, so no fingerprint alone decides a hit, and every
 //!   map evicts in exact least-recently-used order;
@@ -33,7 +33,7 @@
 //!
 //! Correctness bar: concurrent estimates are **bit-identical** to a fresh
 //! single-threaded estimator over the same catalog — the cache only stores
-//! values that are pure functions of their canonical keys (see
+//! values that are pure functions of their keys (see
 //! `sqe_core::cache` for the contract, and `tests/service.rs` at the
 //! workspace root for the 8-thread equivalence test).
 

@@ -22,15 +22,16 @@ use crate::stats::{ServiceStats, ServiceStatsSnapshot};
 /// Shard count of every snapshot's cross-query cache.
 const CACHE_SHARDS: usize = 16;
 
-/// Bound on each per-shard map of that cache (links, queries, joins and
-/// `H3` each hold at most this many entries per shard).
+/// Bound on each per-shard map of that cache (queries, joins and `H3`
+/// each hold at most this many entries per shard).
 const CACHE_CAPACITY_PER_SHARD: usize = 4096;
 
 /// The deadline [`EstimationService::default_budget`] hands out: the
 /// latency envelope a budgeted request is expected to answer within — by
 /// degrading, never by erroring. Wide queries routed to the beam engine
-/// are tuned (width 8, see `BENCH_estimator.json`'s wide-`n` rows) to fit
-/// a 32-predicate estimate inside it on a single core.
+/// are tuned ([`BeamConfig::default`]: width 4, see
+/// `BENCH_estimator.json`'s wide-`n` rows) to fit a 32-predicate estimate
+/// inside it on a single core.
 const DEFAULT_DEADLINE: Duration = Duration::from_millis(250);
 
 /// Configuration of an [`EstimationService`].
@@ -42,7 +43,7 @@ pub struct ServiceConfig {
     /// Which engine answers each query: under `Auto` (the default) the
     /// exact dense engine up to 20 predicates and the beam above, under
     /// `Beam` the approximate beam at every width. The two answer
-    /// differently, but every per-link factor they share through the
+    /// differently, but every SIT-pair product they share through the
     /// snapshot's cache is exact under both, and only `Full` answers enter
     /// the whole-query cache.
     pub dp_strategy: DpStrategy,
@@ -406,8 +407,8 @@ impl EstimationService {
     /// snapshot**: the new snapshot carries the evolved database and
     /// catalog, and — unlike [`EstimationService::install`] — it *carries
     /// over* every cross-query cache entry that the ingest could not have
-    /// invalidated. Link and whole-query entries survive unless one of
-    /// their predicates reads a mutated table; join-product and `H3`
+    /// invalidated. Whole-query entries survive unless one of their
+    /// predicates reads a mutated table; join-product and `H3`
     /// entries survive unless either of their SITs was rebuilt (SIT
     /// identities are preserved for untouched SITs, so the keys stay
     /// meaningful).

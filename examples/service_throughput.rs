@@ -37,7 +37,7 @@ fn main() {
     let service = EstimationService::new(Arc::clone(&db), pool, ServiceConfig::default());
 
     // Cold pass: each thread estimates a slice of the workload. Threads
-    // share link/join-product work through the sharded cross-query cache
+    // share SIT-pair join products through the sharded cross-query cache
     // while it fills.
     let cold = Instant::now();
     std::thread::scope(|s| {

@@ -13,12 +13,13 @@
 
 mod common;
 
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
 use proptest::prelude::*;
 
-use sqe::core::BudgetMeter;
+use sqe::core::{BudgetMeter, CacheKey, SharedEstimatorCache, SitId};
 use sqe::engine::table::TableBuilder;
 use sqe::prelude::*;
 use sqe::service::{EstimationService, ServiceConfig, ShardedCache};
@@ -188,6 +189,43 @@ proptest! {
         }
     }
 
+    /// The shared cache holds SIT-pair products, never links: a dense
+    /// estimate through it asks for no link and for at least one join or
+    /// `H3` product, and answers as the cache-free estimator does — value,
+    /// memo, peel and view-matching counts — both on the cold cache and,
+    /// from a second estimator, on the cache it warmed.
+    #[test]
+    fn shared_cache_serves_products_and_never_links(
+        db in small_db(),
+        q in query().prop_filter("a join", |q| q.predicates.iter().any(Predicate::is_join)),
+        pool_i in 0usize..3,
+    ) {
+        let _cpu = beside_others();
+        let catalog = build_pool(&db, std::slice::from_ref(&q), PoolSpec::ji(pool_i))
+            .expect("pool build");
+        for mode in [ErrorMode::NInd, ErrorMode::Diff] {
+            let run = |cache: Option<&dyn SharedEstimatorCache>| {
+                let mut est = SelectivityEstimator::new(&db, &q, &catalog, mode);
+                if let Some(c) = cache {
+                    est = est.with_shared_cache(c);
+                }
+                assert!(!est.is_beam());
+                let (s, e) = est.get_selectivity(est.context().all());
+                let st = est.stats();
+                (s.to_bits(), e.to_bits(), st.memo_entries, st.peel_entries, st.vm_calls)
+            };
+            let free = run(None);
+            let inner = ShardedCache::new(4, 1024);
+            let counting = Counting::new(&inner);
+            let cold = run(Some(&counting));
+            prop_assert!(counting.products.load(Relaxed) >= 1, "mode {:?}", mode);
+            let warm = run(Some(&counting));
+            prop_assert_eq!(counting.links.load(Relaxed), 0, "mode {:?}", mode);
+            prop_assert_eq!(cold, free, "cold cache, mode {:?}", mode);
+            prop_assert_eq!(warm, free, "warm cache, mode {:?}", mode);
+        }
+    }
+
     /// Bounded beam stays honest on random queries: every lattice answer
     /// is a finite selectivity in `[0, 1]` with a non-negative error, at
     /// the default width and at the narrowest one.
@@ -210,6 +248,51 @@ proptest! {
             prop_assert!(s.is_finite() && (0.0..=1.0).contains(&s), "sel {} at {:#b}", s, mask);
             prop_assert!(e >= 0.0, "err {} at {:#b}", e, mask);
         }
+    }
+}
+
+/// Counts the estimator's calls into a [`ShardedCache`], links apart
+/// from SIT-pair products.
+struct Counting<'c> {
+    inner: &'c ShardedCache,
+    links: AtomicU64,
+    products: AtomicU64,
+}
+
+impl<'c> Counting<'c> {
+    fn new(inner: &'c ShardedCache) -> Self {
+        Counting {
+            inner,
+            links: AtomicU64::new(0),
+            products: AtomicU64::new(0),
+        }
+    }
+}
+
+impl SharedEstimatorCache for Counting<'_> {
+    fn get_link(&self, key: &CacheKey) -> Option<(f64, f64)> {
+        self.links.fetch_add(1, Relaxed);
+        self.inner.get_link(key)
+    }
+    fn put_link(&self, key: CacheKey, value: (f64, f64)) {
+        self.links.fetch_add(1, Relaxed);
+        self.inner.put_link(key, value);
+    }
+    fn get_join(&self, pair: (SitId, SitId)) -> Option<f64> {
+        self.products.fetch_add(1, Relaxed);
+        self.inner.get_join(pair)
+    }
+    fn put_join(&self, pair: (SitId, SitId), selectivity: f64) {
+        self.products.fetch_add(1, Relaxed);
+        self.inner.put_join(pair, selectivity);
+    }
+    fn get_h3(&self, pair: (SitId, SitId)) -> Option<(Histogram, f64)> {
+        self.products.fetch_add(1, Relaxed);
+        self.inner.get_h3(pair)
+    }
+    fn put_h3(&self, pair: (SitId, SitId), value: (Histogram, f64)) {
+        self.products.fetch_add(1, Relaxed);
+        self.inner.put_h3(pair, value);
     }
 }
 

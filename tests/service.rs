@@ -1,16 +1,12 @@
 //! Integration tests for the `sqe-service` estimation service: concurrent
 //! estimates must be **bit-identical** to a fresh single-threaded
-//! [`SelectivityEstimator`] over the same catalog, cold and warm, and the
-//! cache-key canonicalization must be injective on distinct
-//! `(predicate set, error mode)` inputs.
+//! [`SelectivityEstimator`] over the same catalog, cold and warm.
 
-use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use sqe::core::cache::CacheKey;
 use sqe::core::{
     build_pool_threaded, DeltaConfig, IngestReport, LiveCatalog, PoolSpec, SitOptions,
 };
@@ -286,86 +282,11 @@ fn estimates_racing_partial_install_never_see_a_half_installed_catalog() {
     assert_eq!(svc.stats().ingest.partial_installs, INSTALLS as u64);
 }
 
-/// A fixed universe of distinct predicates over a 3-table schema; subsets
-/// of it play the role of `PredSet`s in the injectivity property.
-fn predicate_universe() -> Vec<Predicate> {
-    let c = |t: u32, col: u16| ColRef::new(TableId(t), col);
-    vec![
-        Predicate::filter(c(0, 0), CmpOp::Eq, 1),
-        Predicate::filter(c(0, 0), CmpOp::Eq, 2),
-        Predicate::filter(c(1, 1), CmpOp::Le, 5),
-        Predicate::join(c(0, 1), c(1, 0)),
-        Predicate::join(c(1, 1), c(2, 0)),
-        Predicate::range(c(2, 1), 0, 7),
-    ]
-}
-
-fn subset(universe: &[Predicate], mask: u8) -> Vec<Predicate> {
-    universe
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| mask & (1 << i) != 0)
-        .map(|(_, p)| *p)
-        .collect()
-}
-
 fn mode_of(i: u8) -> ErrorMode {
     match i % 3 {
         0 => ErrorMode::NInd,
         1 => ErrorMode::Diff,
         _ => ErrorMode::Opt,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Canonicalization is injective on distinct `(PredSet, ErrorMode)`
-    /// inputs: two conditional keys collide iff their predicate *sets* and
-    /// modes coincide — permuting or duplicating list entries never
-    /// separates equal sets, and distinct sets/modes never merge.
-    #[test]
-    fn cache_key_canonicalization_is_injective(
-        mask_p1 in 0u8..64, mask_q1 in 0u8..64, m1 in 0u8..3,
-        mask_p2 in 0u8..64, mask_q2 in 0u8..64, m2 in 0u8..3,
-        shuffle in any::<u64>(),
-    ) {
-        let uni = predicate_universe();
-        let (p1, q1) = (subset(&uni, mask_p1), subset(&uni, mask_q1));
-        let (mut p2, mut q2) = (subset(&uni, mask_p2), subset(&uni, mask_q2));
-        // Permute (and sometimes duplicate an element of) the second pair:
-        // canonicalization must erase exactly this kind of difference.
-        let p2_rot = (shuffle as usize) % p2.len().max(1);
-        let q2_rot = (shuffle as usize / 7) % q2.len().max(1);
-        p2.rotate_left(p2_rot);
-        q2.rotate_left(q2_rot);
-        if shuffle.is_multiple_of(3) {
-            if let Some(&first) = p2.first() {
-                p2.push(first);
-            }
-        }
-        let k1 = CacheKey::conditional(mode_of(m1), &p1, &q1);
-        let k2 = CacheKey::conditional(mode_of(m2), &p2, &q2);
-        let same_inputs =
-            mask_p1 == mask_p2 && mask_q1 == mask_q2 && mode_of(m1) == mode_of(m2);
-        prop_assert_eq!(k1 == k2, same_inputs);
-    }
-
-    /// Equal keys as HashMap keys behave set-like: inserting under any
-    /// permutation of a predicate list finds the entry under any other.
-    #[test]
-    fn equal_sets_share_one_map_slot(
-        mask in 1u8..64, m in 0u8..3, rot in 0usize..6,
-    ) {
-        let uni = predicate_universe();
-        let preds = subset(&uni, mask);
-        let mut rotated = preds.clone();
-        let steps = rot % rotated.len();
-        rotated.rotate_left(steps);
-        let mut map = HashMap::new();
-        map.insert(CacheKey::conditional(mode_of(m), &preds, &[]), 42u32);
-        let probe = CacheKey::conditional(mode_of(m), &rotated, &[]);
-        prop_assert_eq!(map.get(&probe), Some(&42));
     }
 }
 
