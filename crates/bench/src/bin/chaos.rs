@@ -140,9 +140,8 @@ fn server_phase(db: &Database, pool: &SitCatalog, workload: &[SpjQuery]) -> Serv
         )
     };
 
-    // Quiet the injected handler panics (the server catches them).
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    // The server threads entered this thread's failpoint scope at
+    // `spawn`, so the sites armed here fire on them.
     failpoint::arm_with("server::accept", Action::Error, 4, None, 91);
     failpoint::arm_with("server::read", Action::Error, 4, None, 92);
     failpoint::arm_with("server::respond", Action::Error, 4, None, 93);
@@ -166,7 +165,6 @@ fn server_phase(db: &Database, pool: &SitCatalog, workload: &[SpjQuery]) -> Serv
     ] {
         failpoint::disarm(site);
     }
-    std::panic::set_hook(prev_hook);
 
     // Recovery probe after disarming.
     let recovered = roundtrip(raw_estimate(&workload[0]).as_bytes())
@@ -247,24 +245,7 @@ fn main() {
 
     // Silence the panic reports injected faults produce on purpose, but
     // let genuine failures through.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        // An injected panic is expected noise; anything else is a genuine
-        // failure and gets the normal report.
-        let expected = |s: &str| s.contains("failpoint");
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|s| expected(s))
-            || info
-                .payload()
-                .downcast_ref::<&str>()
-                .is_some_and(|s| expected(s));
-        if !injected {
-            prev_hook(info);
-        }
-    }));
-
+    failpoint::quiet_injected_panics();
     failpoint::arm_with("dp::solve_mask", Action::Panic, 20_000, None, 11);
     failpoint::arm_with("service::cache_insert", Action::Sleep(1), 256, None, 33);
     failpoint::arm_with("service::install", Action::Sleep(2), 4, None, 44);
@@ -317,12 +298,15 @@ fn main() {
         })
     };
 
+    let faults = failpoint::Scope::current();
     std::thread::scope(|s| {
         for worker in 0..workers as u64 {
             let (svc, workload, reference, pool) = (&svc, &workload, &reference, &pool);
             let (heartbeat, violations, full, degraded, sheds, stop) =
                 (&heartbeat, &violations, &full, &degraded, &sheds, &stop);
+            let faults = faults.clone();
             s.spawn(move || {
+                faults.enter();
                 let mut rng = Rng(0xD1B54A32D192ED03 ^ (worker + 1));
                 let mut round = 0u64;
                 while Instant::now() < deadline && !stop.load(Ordering::Relaxed) {
@@ -387,7 +371,6 @@ fn main() {
     let _ = watchdog.join();
 
     failpoint::disarm_all();
-    let _ = std::panic::take_hook(); // drop the filter hook
 
     // Recovery: faults off, no budget — every answer must be Full and
     // bit-identical to the fault-free reference.

@@ -33,6 +33,10 @@
 //! admissible-bound tightness — so the committed file shows both how the
 //! walk scales with `n` and what width actually buys. Every beam sample
 //! is asserted deterministic (bit-identical across reps) and in `[0, 1]`.
+//! Where `Auto` routes `n` to the beam, each query must also answer
+//! [`Quality::Beam`], undegraded, through the service under
+//! [`EstimationService::default_budget`] (a 250 ms deadline): the
+//! service's promise to callers with no deadline of their own.
 //!
 //! Results are printed as tables and written to **`BENCH_estimator.json`
 //! at the repo root** (committed, so the perf trajectory across PRs is
@@ -45,15 +49,16 @@
 //!         --beam-ns 20,24,28,32 --beam-widths 1,2,4,8]
 //! ```
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use serde::Serialize;
 use sqe_bench::report::{median, render_table, round_us, write_json_root};
 use sqe_bench::{Args, Setup, SetupConfig};
-use sqe_core::{BeamConfig, BeamStats, DpStrategy, ErrorMode, SelectivityEstimator};
+use sqe_core::{BeamConfig, BeamStats, DpStrategy, ErrorMode, Quality, SelectivityEstimator};
 use sqe_datagen::{generate_workload, WorkloadConfig};
 use sqe_engine::SpjQuery;
-use sqe_service::ShardedCache;
+use sqe_service::{EstimationService, ServiceConfig, ShardedCache};
 
 /// One `n` of the exact-engine sweep: cold latency of the dense fill plus
 /// the lattice footprint of the final sample.
@@ -232,11 +237,27 @@ fn main() {
     // Beam sweep: the widths where the exact engines are off the table.
     // Cold, one row per (n, width) at the default expansions cap.
     let mut beam_rows: Vec<BeamRow> = Vec::new();
+    let db = Arc::new(setup.snowflake.db.clone());
     for &n in &beam_ns {
         eprintln!("beam n={n}: generating {queries} queries ...");
         let (joins, filters, workload) = workload(&setup, n, queries);
         eprintln!("beam n={n}: building J{pool_i} pool ({joins} joins + {filters} filters) ...");
         let pool = setup.pool(&workload, pool_i);
+
+        if DpStrategy::Auto.use_beam(n) {
+            let svc =
+                EstimationService::new(Arc::clone(&db), pool.clone(), ServiceConfig::default());
+            for query in &workload {
+                let got = svc
+                    .estimate_with_budget(query, &svc.default_budget())
+                    .expect("a single caller is admitted");
+                assert_eq!(
+                    (got.quality, got.degraded_reason),
+                    (Quality::Beam, None),
+                    "n={n}: the default budget must answer from the beam rung"
+                );
+            }
+        }
 
         for &width in &beam_widths {
             let cfg = BeamConfig {

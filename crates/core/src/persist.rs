@@ -138,7 +138,6 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_everything() {
-        let _g = crate::failpoint::test_serial_guard();
         let (_, cat) = sample_catalog();
         let dir = std::env::temp_dir().join("sqe_persist_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -160,7 +159,6 @@ mod tests {
 
     #[test]
     fn loaded_catalog_estimates_identically() {
-        let _g = crate::failpoint::test_serial_guard();
         let (db, cat) = sample_catalog();
         let dir = std::env::temp_dir().join("sqe_persist_test2");
         std::fs::create_dir_all(&dir).unwrap();
@@ -181,7 +179,6 @@ mod tests {
 
     #[test]
     fn save_leaves_no_temporaries_and_overwrites_atomically() {
-        let _g = crate::failpoint::test_serial_guard();
         let (_, cat) = sample_catalog();
         let dir = std::env::temp_dir().join("sqe_persist_test_atomic");
         std::fs::create_dir_all(&dir).unwrap();
@@ -205,7 +202,6 @@ mod tests {
 
     #[test]
     fn save_into_current_directory_relative_path_works() {
-        let _g = crate::failpoint::test_serial_guard();
         let (_, cat) = sample_catalog();
         let dir = std::env::temp_dir().join("sqe_persist_test_rel");
         std::fs::create_dir_all(&dir).unwrap();
@@ -218,8 +214,6 @@ mod tests {
 
     #[test]
     fn crash_between_write_and_rename_leaves_original_intact() {
-        let _g = crate::failpoint::test_serial_guard();
-        crate::failpoint::disarm_all();
         let (db, cat) = sample_catalog();
         let dir = std::env::temp_dir().join("sqe_persist_test_crash");
         let _ = std::fs::remove_dir_all(&dir);
@@ -239,7 +233,6 @@ mod tests {
         bigger.add(Sit::build_base(&db, ColRef::new(TableId(1), 0)).unwrap());
         crate::failpoint::arm("persist::save", crate::failpoint::Action::Error);
         let err = save_catalog(&bigger, &path).unwrap_err();
-        crate::failpoint::disarm_all();
         assert!(err.to_string().contains("persist::save"), "{err}");
         let stale_after_crash = stale_temp_files(&path).unwrap();
         let [tmp] = stale_after_crash.as_slice() else {
@@ -266,8 +259,6 @@ mod tests {
 
     #[test]
     fn crash_before_any_catalog_exists_is_recoverable() {
-        let _g = crate::failpoint::test_serial_guard();
-        crate::failpoint::disarm_all();
         // First-ever save crashes: no catalog at `path`, one orphan temp.
         let (_, cat) = sample_catalog();
         let dir = std::env::temp_dir().join("sqe_persist_test_crash_first");
@@ -276,7 +267,7 @@ mod tests {
         let path = dir.join("catalog.json");
         crate::failpoint::arm("persist::save", crate::failpoint::Action::Error);
         assert!(save_catalog(&cat, &path).is_err());
-        crate::failpoint::disarm_all();
+        crate::failpoint::disarm("persist::save");
         assert!(!path.exists(), "no partial catalog ever appears at `path`");
         assert_eq!(stale_temp_files(&path).unwrap().len(), 1);
         assert_eq!(clean_stale_temps(&path).unwrap(), 1);
@@ -289,7 +280,6 @@ mod tests {
 
     #[test]
     fn stale_detection_ignores_unrelated_files() {
-        let _g = crate::failpoint::test_serial_guard();
         let (_, cat) = sample_catalog();
         let dir = std::env::temp_dir().join("sqe_persist_test_stale_scope");
         let _ = std::fs::remove_dir_all(&dir);

@@ -92,6 +92,9 @@ type Conn = (Arc<TcpStream>, JoinHandle<()>);
 struct Shared {
     door: Arc<FrontDoor>,
     stats: Arc<ServerStats>,
+    /// The failpoint scope of the thread that called [`spawn`], entered by
+    /// every server thread.
+    faults: failpoint::Scope,
     stop: AtomicBool,
     /// Every live connection, by the id of its thread.
     live: Mutex<HashMap<ThreadId, Conn>>,
@@ -149,12 +152,15 @@ impl Drop for ServerHandle {
 /// Binds `addr` (e.g. `"127.0.0.1:0"`) and accepts connections on a new
 /// thread until the handle is shut down or dropped. Connection threads
 /// are spawned by that thread, and inherit its CPU affinity and priority.
+/// Every server thread enters the caller's failpoint scope, so a site the
+/// caller arms, before or after this call, fires on them.
 pub fn spawn(door: Arc<FrontDoor>, addr: &str) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let shared = Arc::new(Shared {
         door,
         stats: Arc::default(),
+        faults: failpoint::Scope::current(),
         stop: AtomicBool::new(false),
         live: Mutex::new(HashMap::new()),
     });
@@ -162,7 +168,10 @@ pub fn spawn(door: Arc<FrontDoor>, addr: &str) -> std::io::Result<ServerHandle> 
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("sqe-server".to_string())
-            .spawn(move || accept_loop(&listener, &shared))?
+            .spawn(move || {
+                shared.faults.clone().enter();
+                accept_loop(&listener, &shared);
+            })?
     };
     Ok(ServerHandle {
         addr,
@@ -212,6 +221,7 @@ fn admit(stream: TcpStream, shared: &Arc<Shared>) {
     let spawned = std::thread::Builder::new()
         .name("sqe-conn".to_string())
         .spawn(move || {
+            worker.faults.clone().enter();
             serve(&stream, &worker);
             worker.live.lock().remove(&std::thread::current().id());
         });

@@ -526,10 +526,10 @@ impl EstimationService {
     }
 
     /// The budget a caller with no latency requirements of its own should
-    /// use: unlimited work, capped by a 250 ms deadline. Under it a seeded
+    /// use: unlimited work, capped by a 250 ms deadline. Under it a
     /// 32-predicate query answers with a [`Quality::Beam`] label on a
-    /// single core (the `tests/beam.rs` acceptance bar); narrower queries
-    /// answer `Full` as before.
+    /// single core (`estimator_bench` asserts it in release); narrower
+    /// queries answer `Full` as before.
     pub fn default_budget(&self) -> Budget {
         Budget::unlimited().with_deadline(DEFAULT_DEADLINE)
     }

@@ -7,8 +7,8 @@
 //!   [`DiffBackend`] is indistinguishable from one built before the trait
 //!   existed: same `(selectivity, error)` bits over the whole subset
 //!   lattice *and* the same memo/peel/view-matching instrumentation,
-//!   on the dense engine and the beam, and under budget cancellation (the
-//!   armed-failpoint case lives in `tests/chaos.rs`);
+//!   on the dense engine and the beam, under budget cancellation, and
+//!   with failpoints armed;
 //! * **engine-independence of every backend** — the BN backend intercepts
 //!   peels, so the dense engine and the unbounded beam must still agree
 //!   bit for bit with it installed;
@@ -21,6 +21,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use sqe::core::failpoint::{self, Action};
 use sqe::core::{
     BnBackend, BnCatalog, BoundSketch, BudgetMeter, DiffBackend, PessimisticBackend,
     SelectivityBackend,
@@ -216,6 +217,35 @@ fn chain_db_and_query() -> (Database, SpjQuery) {
     let q = SpjQuery::from_predicates(preds).unwrap();
     assert_eq!(q.predicates.len(), 12);
     (db, q)
+}
+
+/// Armed failpoints do not break the backend seam's identity: whether or
+/// not the injected panic fires, any completed answer from an
+/// explicit-`DiffBackend` estimator carries the default path's exact bits,
+/// and a fresh estimator after the chaos is unpolluted.
+#[test]
+fn diff_backend_identity_survives_armed_failpoints() {
+    let (db, q) = chain_db_and_query();
+    let catalog = build_pool(&db, std::slice::from_ref(&q), PoolSpec::ji(1)).unwrap();
+    let mut base = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff);
+    let (ss, se) = base.get_selectivity(base.context().all());
+
+    failpoint::arm_with("dp::solve_mask", Action::Panic, 64, None, 9);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut est = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
+            .with_backend(Arc::new(DiffBackend));
+        est.get_selectivity(est.context().all())
+    }));
+    failpoint::disarm("dp::solve_mask");
+    if let Ok((s, e)) = outcome {
+        assert_eq!(s.to_bits(), ss.to_bits(), "survived arm");
+        assert_eq!(e.to_bits(), se.to_bits(), "survived arm");
+    }
+    let mut fresh = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
+        .with_backend(Arc::new(DiffBackend));
+    let (fs, fe) = fresh.get_selectivity(fresh.context().all());
+    assert_eq!(fs.to_bits(), ss.to_bits(), "fresh after chaos");
+    assert_eq!(fe.to_bits(), se.to_bits(), "fresh after chaos");
 }
 
 /// Budget cancellation through the backend seam: a half-sized quota trips

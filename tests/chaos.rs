@@ -11,22 +11,21 @@
 //! * **recovery** — after disarming every failpoint the service serves
 //!   `Full`-quality answers again.
 //!
-//! Failpoint state is process-global: a site one test arms fires in every
-//! test of the same binary that reaches it. So the workspace's tests that
-//! arm estimator or service sites live in this binary, and every test here
-//! holds the shared serial guard.
+//! Each test arms failpoints in its own thread's scope and hands that
+//! scope to the workers it starts, so a fault never reaches a test running
+//! beside it.
 
-use std::panic::AssertUnwindSafe;
+mod three_tables;
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
 use sqe::core::failpoint::{self, Action};
-use sqe::core::{BackendKind, BnCatalog, DeltaConfig, DiffBackend, LiveCatalog};
+use sqe::core::{BackendKind, BnCatalog, DeltaConfig, LiveCatalog};
 use sqe::datagen::database_fingerprint;
 use sqe::engine::delta::{DeltaBatch, RowOp, TableDelta};
-use sqe::engine::table::TableBuilder;
 use sqe::prelude::*;
 use sqe::service::Budget;
 
@@ -42,52 +41,6 @@ impl Rng {
         self.0 = x;
         x.wrapping_mul(0x2545F4914F6CDD1D)
     }
-}
-
-fn chaos_db() -> Arc<Database> {
-    let rows = 256usize;
-    let mut db = Database::new();
-    for t in 0..3 {
-        let a: Vec<i64> = (0..rows).map(|r| ((r * 7 + t * 3) % 23) as i64).collect();
-        let b: Vec<i64> = (0..rows).map(|r| ((r * 13 + t * 5) % 17) as i64).collect();
-        db.add_table(
-            TableBuilder::new(format!("t{t}"))
-                .column("a", a)
-                .column("b", b)
-                .build()
-                .unwrap(),
-        );
-    }
-    Arc::new(db)
-}
-
-fn chaos_queries(db: &Database) -> Vec<SpjQuery> {
-    let mut queries = Vec::new();
-    for v in 0..4i64 {
-        for (l, r) in [(0u32, 1u32), (1, 2)] {
-            queries.push(
-                SpjQuery::from_predicates(vec![
-                    Predicate::join(ColRef::new(TableId(l), 0), ColRef::new(TableId(r), 0)),
-                    Predicate::filter(ColRef::new(TableId(l), 1), CmpOp::Eq, v),
-                    Predicate::range(ColRef::new(TableId(r), 1), 0, 8 + v),
-                ])
-                .unwrap(),
-            );
-        }
-    }
-    let _ = db;
-    queries
-}
-
-fn chaos_service(db: &Arc<Database>, catalog: SitCatalog) -> EstimationService {
-    EstimationService::new(
-        Arc::clone(db),
-        catalog,
-        ServiceConfig {
-            max_in_flight: 16,
-            ..ServiceConfig::default()
-        },
-    )
 }
 
 /// One randomized budget: unlimited / tight deadline / tiny quota /
@@ -109,18 +62,15 @@ fn random_budget(rng: &mut Rng) -> Budget {
 
 #[test]
 fn randomized_faults_never_hang_poison_or_mislabel() {
-    let _guard = failpoint::test_serial_guard();
-    failpoint::disarm_all();
-
-    let db = chaos_db();
-    let queries = chaos_queries(&db);
+    let db = Arc::new(three_tables::db(0));
+    let queries = three_tables::queries();
     let catalog = sqe::core::build_pool(&db, &queries, PoolSpec::ji(1)).expect("pool");
-    let svc = Arc::new(chaos_service(&db, catalog.clone()));
+    let svc = Arc::new(chaos_service(&db, catalog.clone(), BackendKind::Diff));
 
     // Fault-free reference: every query's Full answer, from a fresh
     // service so the chaos run's caches can't influence it.
     let reference: Vec<f64> = {
-        let clean = chaos_service(&db, catalog.clone());
+        let clean = chaos_service(&db, catalog.clone(), BackendKind::Diff);
         queries
             .iter()
             .map(|q| clean.estimate(q).selectivity)
@@ -129,8 +79,7 @@ fn randomized_faults_never_hang_poison_or_mislabel() {
 
     // Quiet the panic reports the injected faults produce on purpose —
     // the default hook would spam stderr for every isolated panic.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    failpoint::quiet_injected_panics();
 
     // Arm the whole failpoint surface at low, deterministic rates.
     failpoint::arm_with("dp::solve_mask", Action::Panic, 512, None, 11);
@@ -145,13 +94,15 @@ fn randomized_faults_never_hang_poison_or_mislabel() {
     // Watchdog: the chaos load runs in its own threads; the main thread
     // fails the test if they don't all finish in time.
     let (done_tx, done_rx) = mpsc::channel::<()>();
+    let faults = failpoint::Scope::current();
     std::thread::scope(|s| {
         for worker in 0..8u64 {
             let (svc, queries, reference, catalog) = (&svc, &queries, &reference, &catalog);
             let (full_answers, degraded_answers, sheds, mismatches) =
                 (&full_answers, &degraded_answers, &sheds, &mismatches);
-            let done_tx = done_tx.clone();
+            let (done_tx, faults) = (done_tx.clone(), faults.clone());
             s.spawn(move || {
+                faults.enter();
                 let mut rng = Rng(0x9E3779B97F4A7C15 ^ (worker + 1));
                 for round in 0..120 {
                     // Periodic concurrent installs keep the whole-query
@@ -208,7 +159,6 @@ fn randomized_faults_never_hang_poison_or_mislabel() {
     });
 
     failpoint::disarm_all();
-    std::panic::set_hook(prev_hook);
 
     let (full, degraded, shed, bad) = (
         full_answers.load(Ordering::Relaxed),
@@ -275,7 +225,7 @@ fn backend_queries() -> Vec<SpjQuery> {
     queries
 }
 
-fn backend_service(
+fn chaos_service(
     db: &Arc<Database>,
     catalog: SitCatalog,
     backend: BackendKind,
@@ -304,15 +254,11 @@ fn backend_service(
 ///   service answers `Full` again, bit-identical to a clean service.
 #[test]
 fn backend_faults_land_on_the_labeled_floor_and_recover() {
-    let _guard = failpoint::test_serial_guard();
-    failpoint::disarm_all();
-
-    let db = chaos_db();
+    let db = Arc::new(three_tables::db(0));
     let queries = backend_queries();
     let catalog = sqe::core::build_pool(&db, &queries, PoolSpec::ji(1)).expect("pool");
 
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    failpoint::quiet_injected_panics();
 
     // Catalog construction: injected panics lose nothing once they stop.
     let clean_bn = BnCatalog::build(&db);
@@ -351,7 +297,7 @@ fn backend_faults_land_on_the_labeled_floor_and_recover() {
         (BackendKind::Pessimistic, "pessimistic::bound"),
         (BackendKind::Bn, "bn::peel"),
     ] {
-        let clean = backend_service(&db, catalog.clone(), kind);
+        let clean = chaos_service(&db, catalog.clone(), kind);
         let reference: Vec<Estimate> = queries
             .iter()
             .map(|q| {
@@ -362,7 +308,7 @@ fn backend_faults_land_on_the_labeled_floor_and_recover() {
             .collect();
         assert!(reference.iter().all(|e| e.quality == Quality::Full));
 
-        let svc = backend_service(&db, catalog.clone(), kind);
+        let svc = chaos_service(&db, catalog.clone(), kind);
         failpoint::arm_with(site, Action::Panic, 1, Some(queries.len() as u32), 88);
         let mut floors = 0u32;
         for (q, want) in queries.iter().zip(&reference) {
@@ -417,8 +363,6 @@ fn backend_faults_land_on_the_labeled_floor_and_recover() {
             "{site}: panics quarantine snapshots"
         );
     }
-
-    std::panic::set_hook(prev_hook);
 }
 
 /// Deterministic mutation batches over the 3-table chaos database:
@@ -496,19 +440,15 @@ fn chaos_batches(batches: usize, ops_per_batch: usize) -> Vec<DeltaBatch> {
 ///   the snapshot epoch counts exactly one install per batch.
 #[test]
 fn ingest_faults_retry_cleanly_and_converge_bit_identically() {
-    let _guard = failpoint::test_serial_guard();
-    failpoint::disarm_all();
-
-    let db = chaos_db();
-    let queries = chaos_queries(&db);
+    let db = Arc::new(three_tables::db(0));
+    let queries = three_tables::queries();
     let catalog = sqe::core::build_pool(&db, &queries, PoolSpec::ji(1)).expect("pool");
     let batches = chaos_batches(30, 12);
 
-    let svc = Arc::new(chaos_service(&db, catalog.clone()));
+    let svc = Arc::new(chaos_service(&db, catalog.clone(), BackendKind::Diff));
     let mut live = LiveCatalog::new((*db).clone(), catalog.clone(), DeltaConfig::default());
 
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    failpoint::quiet_injected_panics();
     failpoint::arm_with("delta::apply_batch", Action::Panic, 3, None, 55);
     failpoint::arm_with("service::partial_install", Action::Sleep(1), 4, None, 66);
 
@@ -536,8 +476,9 @@ fn ingest_faults_retry_cleanly_and_converge_bit_identically() {
             let (svc, retries, stop) = (&svc, &retries, &stop);
             let (live, faulty_reports) = (&mut live, &mut faulty_reports);
             let batches = &batches;
-            let done_tx = done_tx.clone();
+            let (done_tx, faults) = (done_tx.clone(), failpoint::Scope::current());
             s.spawn(move || {
+                faults.enter();
                 // Raise the flag however this thread exits — if it
                 // panics, the estimate workers must still terminate or
                 // the scope would deadlock behind a muted panic.
@@ -579,7 +520,6 @@ fn ingest_faults_retry_cleanly_and_converge_bit_identically() {
     });
 
     failpoint::disarm_all();
-    std::panic::set_hook(prev_hook);
     assert!(
         retries.load(Ordering::Relaxed) > 0,
         "a 1-in-3 panic rate over 30 batches must have fired at least once"
@@ -607,7 +547,7 @@ fn ingest_faults_retry_cleanly_and_converge_bit_identically() {
     // partial install — answers bit-identically to a clean service built
     // cold over the replayed final state.
     let final_db = Arc::new(replay.db().clone());
-    let clean = chaos_service(&final_db, replay.catalog().clone());
+    let clean = chaos_service(&final_db, replay.catalog().clone(), BackendKind::Diff);
     for q in &queries {
         assert_eq!(
             svc.estimate(q).selectivity.to_bits(),
@@ -625,10 +565,8 @@ fn ingest_faults_retry_cleanly_and_converge_bit_identically() {
 /// quality afterwards with every admission permit released.
 #[test]
 fn panicking_estimate_is_isolated_and_recovers() {
-    let _guard = failpoint::test_serial_guard();
-    failpoint::disarm_all();
-    let db = chaos_db();
-    let queries = chaos_queries(&db);
+    let db = Arc::new(three_tables::db(0));
+    let queries = three_tables::queries();
     let catalog = sqe::core::build_pool(&db, &queries, PoolSpec::ji(1)).expect("pool");
     let svc = EstimationService::new(Arc::clone(&db), catalog, ServiceConfig::default());
     let q = &queries[0];
@@ -671,22 +609,17 @@ fn panicking_estimate_is_isolated_and_recovers() {
 /// outcome: "answered" counts rungs, "served" counts requests.
 #[test]
 fn panic_after_the_answer_counts_the_request_once() {
-    let _guard = failpoint::test_serial_guard();
-    failpoint::disarm_all();
-    let db = chaos_db();
-    let queries = chaos_queries(&db);
+    let db = Arc::new(three_tables::db(0));
+    let queries = three_tables::queries();
     let catalog = sqe::core::build_pool(&db, &queries, PoolSpec::ji(1)).expect("pool");
     let svc = EstimationService::new(Arc::clone(&db), catalog, ServiceConfig::default());
     assert_eq!(svc.config().backend, BackendKind::Diff);
 
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    failpoint::quiet_injected_panics();
     failpoint::arm_with("pessimistic::bound", Action::Panic, 1, Some(1), 5);
     let e = svc
         .estimate_with_budget(&queries[0], &Budget::unlimited())
         .expect("panic is isolated, not propagated");
-    failpoint::disarm_all();
-    std::panic::set_hook(prev_hook);
 
     assert_eq!(e.quality, Quality::Independence);
     assert_eq!(e.degraded_reason, Some(DegradeReason::Panic));
@@ -703,99 +636,4 @@ fn panic_after_the_answer_counts_the_request_once() {
     assert_eq!(stats.rung_answered[at(Quality::Independence)], 1);
     assert_eq!(stats.degraded_by(DegradeReason::Panic), 1);
     assert_eq!(stats.quarantines, 1);
-}
-
-/// Deterministic 12-predicate join chain with two filters per table: the
-/// dense engine's target regime, with same-table conditioning for the BN
-/// backend (the fixture of `tests/backends.rs` and `tests/beam.rs`).
-fn chain_db_and_query() -> (Database, SpjQuery) {
-    let mut db = Database::new();
-    for t in 0..5 {
-        let vals: Vec<i64> = (0..24).map(|i| (i * 7 + t * 3) % 8).collect();
-        let vals2: Vec<i64> = (0..24).map(|i| (i * 5 + t * 11) % 8).collect();
-        db.add_table(
-            TableBuilder::new(format!("t{t}"))
-                .column("a", vals)
-                .column("b", vals2)
-                .build()
-                .unwrap(),
-        );
-    }
-    let c = |t: u32, col: u16| ColRef::new(TableId(t), col);
-    let mut preds = vec![
-        Predicate::join(c(0, 1), c(1, 0)),
-        Predicate::join(c(1, 1), c(2, 0)),
-        Predicate::join(c(2, 1), c(3, 0)),
-        Predicate::join(c(3, 1), c(4, 0)),
-    ];
-    for t in 0..4u32 {
-        preds.push(Predicate::filter(c(t, 0), CmpOp::Le, (t as i64) + 3));
-        preds.push(Predicate::range(c(t, 1), 1, (t as i64) + 4));
-    }
-    let q = SpjQuery::from_predicates(preds).unwrap();
-    assert_eq!(q.predicates.len(), 12);
-    (db, q)
-}
-
-/// Armed failpoints do not break the backend seam's identity: whether or
-/// not the injected panic fires, any completed answer from an
-/// explicit-`DiffBackend` estimator carries the default path's exact bits,
-/// and a fresh estimator after the chaos is unpolluted.
-#[test]
-fn diff_backend_identity_survives_armed_failpoints() {
-    let _guard = failpoint::test_serial_guard();
-    failpoint::disarm_all();
-    let (db, q) = chain_db_and_query();
-    let catalog = build_pool(&db, std::slice::from_ref(&q), PoolSpec::ji(1)).unwrap();
-    let mut base = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff);
-    let (ss, se) = base.get_selectivity(base.context().all());
-
-    failpoint::arm_with("dp::solve_mask", Action::Panic, 64, None, 9);
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let mut est = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-            .with_backend(Arc::new(DiffBackend));
-        est.get_selectivity(est.context().all())
-    }));
-    failpoint::disarm("dp::solve_mask");
-    if let Ok((s, e)) = outcome {
-        assert_eq!(s.to_bits(), ss.to_bits(), "survived arm");
-        assert_eq!(e.to_bits(), se.to_bits(), "survived arm");
-    }
-    let mut fresh = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_backend(Arc::new(DiffBackend));
-    let (fs, fe) = fresh.get_selectivity(fresh.context().all());
-    assert_eq!(fs.to_bits(), ss.to_bits(), "fresh after chaos");
-    assert_eq!(fe.to_bits(), se.to_bits(), "fresh after chaos");
-}
-
-/// Armed `dp::solve_mask` failpoints under the beam walk: a panic either
-/// propagates cleanly (nothing half-committed) or never fires — and then
-/// the answer must still be bit-exact. A fresh estimator afterwards is
-/// unpolluted either way.
-#[test]
-fn beam_survives_armed_failpoints() {
-    let _guard = failpoint::test_serial_guard();
-    let (db, q) = chain_db_and_query();
-    let catalog = build_pool(&db, std::slice::from_ref(&q), PoolSpec::ji(1)).unwrap();
-    let mut serial = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff);
-    let (ss, se) = serial.get_selectivity(serial.context().all());
-
-    failpoint::arm_with("dp::solve_mask", Action::Panic, 64, None, 7);
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let mut est = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-            .with_strategy(DpStrategy::Beam)
-            .with_beam_config(BeamConfig::UNBOUNDED);
-        est.get_selectivity(est.context().all())
-    }));
-    failpoint::disarm("dp::solve_mask");
-    if let Ok((s, e)) = outcome {
-        assert_eq!(s.to_bits(), ss.to_bits(), "survived arm must be exact");
-        assert_eq!(e.to_bits(), se.to_bits(), "survived arm must be exact");
-    }
-    let mut fresh = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_strategy(DpStrategy::Beam)
-        .with_beam_config(BeamConfig::UNBOUNDED);
-    let (fs, fe) = fresh.get_selectivity(fresh.context().all());
-    assert_eq!(fs.to_bits(), ss.to_bits(), "fresh after chaos");
-    assert_eq!(fe.to_bits(), se.to_bits(), "fresh after chaos");
 }

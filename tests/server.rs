@@ -5,10 +5,10 @@
 //! accounting with the server failpoints armed, cross-connection
 //! isolation of a stalled ingest, the connection cap, and shutdown.
 //!
-//! Failpoint state is process-global, so every test here takes the
-//! shared serial guard even when it arms nothing — an armed
-//! `server::handle` from a concurrently running test would otherwise
-//! leak into the unrelated ones.
+//! A test arms failpoints in its own thread's scope, which the server
+//! threads it spawns enter, so its faults never reach a sibling test.
+
+mod three_tables;
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -19,7 +19,6 @@ use std::time::{Duration, Instant};
 use sqe::core::failpoint::{self, Action};
 use sqe::core::DeltaConfig;
 use sqe::engine::delta::{DeltaBatch, RowOp, TableDelta};
-use sqe::engine::table::TableBuilder;
 use sqe::prelude::*;
 use sqe::server::{FrontDoor, QuotaConfig, Request, TenantConfig};
 
@@ -41,55 +40,16 @@ fn tenant_config(quota: QuotaConfig) -> TenantConfig {
     }
 }
 
-/// Three small correlated tables; `salt` varies the content so two
-/// tenants can hold genuinely different catalogs.
-fn small_db(salt: usize) -> Database {
-    let rows = 256usize;
-    let mut db = Database::new();
-    for t in 0..3 {
-        let a: Vec<i64> = (0..rows)
-            .map(|r| ((r * 7 + t * 3 + salt * 5) % 23) as i64)
-            .collect();
-        let b: Vec<i64> = (0..rows)
-            .map(|r| ((r * 13 + t * 5 + salt * 11) % 17) as i64)
-            .collect();
-        db.add_table(
-            TableBuilder::new(format!("t{t}"))
-                .column("a", a)
-                .column("b", b)
-                .build()
-                .unwrap(),
-        );
-    }
-    db
-}
-
-fn small_queries() -> Vec<SpjQuery> {
-    let mut queries = Vec::new();
-    for v in 0..4i64 {
-        for (l, r) in [(0u32, 1u32), (1, 2)] {
-            queries.push(
-                SpjQuery::from_predicates(vec![
-                    Predicate::join(ColRef::new(TableId(l), 0), ColRef::new(TableId(r), 0)),
-                    Predicate::filter(ColRef::new(TableId(l), 1), CmpOp::Eq, v),
-                    Predicate::range(ColRef::new(TableId(r), 1), 0, 8 + v),
-                ])
-                .unwrap(),
-            );
-        }
-    }
-    queries
-}
-
-/// Registers `name` over a fresh `small_db(salt)` + J1 pool.
+/// Registers `name` over a fresh `three_tables::db(salt)` + J1 pool.
 fn add_small_tenant(
     door: &FrontDoor,
     name: &str,
     salt: usize,
     quota: QuotaConfig,
 ) -> Arc<sqe::server::Tenant> {
-    let db = small_db(salt);
-    let catalog = sqe::core::build_pool(&db, &small_queries(), PoolSpec::ji(1)).expect("pool");
+    let db = three_tables::db(salt);
+    let catalog =
+        sqe::core::build_pool(&db, &three_tables::queries(), PoolSpec::ji(1)).expect("pool");
     door.add_tenant(name, db, catalog, tenant_config(quota))
 }
 
@@ -187,12 +147,9 @@ fn small_batches(n: usize, ops: usize, seed: u64) -> Vec<DeltaBatch> {
 
 #[test]
 fn wire_protocol_is_total_and_answers_match_the_service() {
-    let _guard = failpoint::test_serial_guard();
-    failpoint::disarm_all();
-
     let door = FrontDoor::new(0); // unbounded global pool
     let tenant = add_small_tenant(&door, "acme", 0, open_quota());
-    let queries = small_queries();
+    let queries = three_tables::queries();
 
     // Health route.
     assert_eq!(
@@ -310,9 +267,6 @@ fn wire_protocol_is_total_and_answers_match_the_service() {
 /// values pinned here are deterministic.
 #[test]
 fn metrics_routes_keep_their_series_and_keys() {
-    let _guard = failpoint::test_serial_guard();
-    failpoint::disarm_all();
-
     let door = FrontDoor::new(0);
     add_small_tenant(&door, "acme", 0, open_quota());
     // One token and (almost) no refill: the second request sheds.
@@ -323,7 +277,7 @@ fn metrics_routes_keep_their_series_and_keys() {
         deadline_ceiling: Duration::from_secs(60),
     };
     add_small_tenant(&door, "zeta", 1, quota);
-    let queries = small_queries();
+    let queries = three_tables::queries();
     let estimate = |tenant: &str, q: &SpjQuery| {
         let target = format!("/v1/{tenant}/estimate");
         door.handle(&Request::new(
@@ -407,9 +361,6 @@ sqe_global_max_in_flight 0
 
 #[test]
 fn each_gate_sheds_with_its_own_scope_and_a_capped_finite_hint() {
-    let _guard = failpoint::test_serial_guard();
-    failpoint::disarm_all();
-
     let door = FrontDoor::new(2);
     let quota = QuotaConfig {
         rate: 50.0,
@@ -418,7 +369,7 @@ fn each_gate_sheds_with_its_own_scope_and_a_capped_finite_hint() {
         deadline_ceiling: Duration::from_millis(100),
     };
     let tenant = add_small_tenant(&door, "acme", 0, quota);
-    let q = &small_queries()[0];
+    let q = &three_tables::queries()[0];
     let shed = |resp: &sqe::server::Response| -> ErrorWire {
         assert_eq!(resp.status, 429, "body: {}", body_str(resp));
         serde_json::from_str(body_str(resp)).expect("429 body parses")
@@ -498,9 +449,6 @@ fn each_gate_sheds_with_its_own_scope_and_a_capped_finite_hint() {
 
 #[test]
 fn mid_request_panic_leaks_no_quota_token_or_permit() {
-    let _guard = failpoint::test_serial_guard();
-    failpoint::disarm_all();
-
     let door = Arc::new(FrontDoor::new(2));
     let quota = QuotaConfig {
         rate: 1000.0,
@@ -509,11 +457,9 @@ fn mid_request_panic_leaks_no_quota_token_or_permit() {
         deadline_ceiling: Duration::from_secs(5),
     };
     let tenant = add_small_tenant(&door, "acme", 0, quota);
-    let q = &small_queries()[0];
+    let q = &three_tables::queries()[0];
 
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-
+    failpoint::quiet_injected_panics();
     // `server::handle` panics after the quota token is spent and the
     // tenant permit is acquired — the worst point to die at. 8 panics,
     // then the site disarms itself.
@@ -533,8 +479,6 @@ fn mid_request_panic_leaks_no_quota_token_or_permit() {
             "global permit leaked"
         );
     }
-    failpoint::disarm_all();
-    std::panic::set_hook(prev_hook);
     assert_eq!(panics, 8, "the armed limit fires exactly 8 times");
 
     // Bucket accounting: every one of the 12 arrivals was admitted (the
@@ -566,13 +510,10 @@ fn mid_request_panic_leaks_no_quota_token_or_permit() {
 
 #[test]
 fn concurrent_partial_installs_never_bleed_across_tenants() {
-    let _guard = failpoint::test_serial_guard();
-    failpoint::disarm_all();
-
     let door = Arc::new(FrontDoor::new(0));
     let hot = add_small_tenant(&door, "hot", 1, open_quota());
     let cold = add_small_tenant(&door, "cold", 2, open_quota());
-    let queries = small_queries();
+    let queries = three_tables::queries();
     let batches = small_batches(24, 10, 0xFEED);
 
     // Fault-free references: the cold tenant's bits must never move; the
@@ -643,8 +584,8 @@ fn concurrent_partial_installs_never_bleed_across_tenants() {
     // bit-identical to a clean service over a fault-free replay.
     assert_eq!(hot.service().snapshot().epoch(), batches.len() as u64);
     let mut replay = sqe::core::LiveCatalog::new(
-        small_db(1),
-        sqe::core::build_pool(&small_db(1), &queries, PoolSpec::ji(1)).expect("pool"),
+        three_tables::db(1),
+        sqe::core::build_pool(&three_tables::db(1), &queries, PoolSpec::ji(1)).expect("pool"),
         DeltaConfig::default(),
     );
     for batch in &batches {
@@ -709,12 +650,9 @@ fn tcp_roundtrip(addr: std::net::SocketAddr, raw: &[u8]) -> Option<String> {
 
 #[test]
 fn reactor_failpoints_lose_requests_but_never_accounting() {
-    let _guard = failpoint::test_serial_guard();
-    failpoint::disarm_all();
-
     let door = Arc::new(FrontDoor::new(2));
     let tenant = add_small_tenant(&door, "acme", 0, open_quota());
-    let q = &small_queries()[0];
+    let q = &three_tables::queries()[0];
     let handle = sqe::server::spawn(Arc::clone(&door), "127.0.0.1:0").expect("bind");
     let addr = handle.addr();
     let body = estimate_body(q, Some(5_000));
@@ -845,15 +783,15 @@ fn connect(addr: std::net::SocketAddr) -> TcpStream {
 /// connection answers while the ingest is still running, within 50 ms.
 #[test]
 fn stalled_ingest_on_one_connection_never_delays_another() {
-    let _guard = failpoint::test_serial_guard();
-    failpoint::disarm_all();
-
     let door = Arc::new(FrontDoor::new(0));
     let a = add_small_tenant(&door, "a", 1, open_quota());
     add_small_tenant(&door, "b", 2, open_quota());
     let server = sqe::server::spawn(Arc::clone(&door), "127.0.0.1:0").expect("bind");
     let (ingest, estimate) = (connect(server.addr()), connect(server.addr()));
-    let estimate_req = post("/v1/b/estimate", &estimate_body(&small_queries()[0], None));
+    let estimate_req = post(
+        "/v1/b/estimate",
+        &estimate_body(&three_tables::queries()[0], None),
+    );
     (&estimate).write_all(&estimate_req).expect("send");
     assert_eq!(read_response(&estimate).0, 200, "warm-up estimate");
 
@@ -872,7 +810,6 @@ fn stalled_ingest_on_one_connection_never_delays_another() {
     let epoch_meanwhile = a.service().snapshot().epoch();
     let (ingest_status, _) = read_response(&ingest);
     let ingested = sent.elapsed();
-    failpoint::disarm_all();
 
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"cached\":true"), "warmed estimate: {body}");
@@ -895,8 +832,6 @@ fn stalled_ingest_on_one_connection_never_delays_another() {
 #[test]
 fn connections_past_the_cap_are_refused_until_a_slot_frees() {
     use sqe::server::server::MAX_CONNECTIONS;
-    let _guard = failpoint::test_serial_guard();
-    failpoint::disarm_all();
 
     let server = sqe::server::spawn(Arc::new(FrontDoor::new(0)), "127.0.0.1:0").expect("bind");
     let stats = Arc::clone(server.stats());
@@ -940,9 +875,6 @@ fn connections_past_the_cap_are_refused_until_a_slot_frees() {
 /// client then reads end of stream.
 #[test]
 fn shutdown_and_drop_close_idle_clients_promptly() {
-    let _guard = failpoint::test_serial_guard();
-    failpoint::disarm_all();
-
     let door = Arc::new(FrontDoor::new(0));
     for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
         for by_drop in [false, true] {

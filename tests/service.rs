@@ -12,6 +12,7 @@ use sqe::core::{
 };
 use sqe::datagen::{generate_mutations, MutationConfig};
 use sqe::prelude::*;
+use sqe::server::FrontDoor;
 use sqe::service::{EstimationService, ServiceConfig};
 
 fn service_setup(mode: ErrorMode) -> (Arc<Database>, Vec<SpjQuery>, EstimationService) {
@@ -134,6 +135,60 @@ fn service_over_parallel_pool_matches_sequential_pool() {
     for (q, e) in wl.iter().zip(&expected) {
         assert_eq!(svc.estimate(q).selectivity.to_bits(), *e);
     }
+}
+
+/// Failpoints are armed per thread. While one thread holds
+/// `dp::solve_mask` armed to panic, an unarmed thread's estimate beside it
+/// still answers `Full`, bit-identical to a fresh estimator; and a site
+/// armed on the thread that spawned a server, after the spawn, still fires
+/// on the server's connection threads.
+#[test]
+fn armed_failpoints_stay_on_their_thread_and_reach_its_server() {
+    use sqe::core::failpoint::{self, Action};
+    use std::io::{Read as _, Write as _};
+    use std::sync::atomic::Ordering::Relaxed;
+    use std::sync::mpsc::channel;
+
+    let (db, wl, svc) = service_setup(ErrorMode::Diff);
+    let want = reference(&db, &wl[..1], svc.snapshot().sits(), ErrorMode::Diff)[0];
+    let estimate = |q| {
+        svc.estimate_with_budget(q, &Budget::unlimited())
+            .expect("admitted")
+    };
+    let (unarmed, faulty) = std::thread::scope(|s| {
+        let ((armed, wait_armed), (answered, wait_answered)) = (channel(), channel::<()>());
+        let (estimate, wl) = (&estimate, &wl);
+        let faulty = s.spawn(move || {
+            failpoint::arm("dp::solve_mask", Action::Panic);
+            armed.send(()).unwrap();
+            // Stay armed until the other thread has answered.
+            let _ = wait_answered.recv();
+            estimate(&wl[1])
+        });
+        wait_armed.recv().unwrap();
+        let unarmed = estimate(&wl[0]);
+        drop(answered);
+        (unarmed, faulty.join().unwrap())
+    });
+    assert_eq!(
+        unarmed.quality,
+        Quality::Full,
+        "{:?}",
+        unarmed.degraded_reason
+    );
+    assert_eq!(unarmed.selectivity.to_bits(), want);
+    assert_eq!(faulty.degraded_reason, Some(DegradeReason::Panic), "armed");
+
+    let server = sqe::server::spawn(Arc::new(FrontDoor::new(0)), "127.0.0.1:0").expect("bind");
+    failpoint::arm("server::respond", Action::Error);
+    let mut client = std::net::TcpStream::connect(server.addr()).expect("connect");
+    client
+        .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .expect("send");
+    let mut reply = Vec::new();
+    let _ = client.read_to_end(&mut reply);
+    assert!(reply.is_empty(), "the armed respond site drops the answer");
+    assert_eq!(server.stats().respond_failures.load(Relaxed), 1);
 }
 
 /// The value fields of an [`sqe::service::Estimate`] as raw bits — every
