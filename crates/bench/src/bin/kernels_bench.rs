@@ -1,13 +1,13 @@
 //! Microbenchmarks for the `sqe-histogram` hot kernels: the CDF range
-//! kernel, the covering-bucket equality search, and the merge-scan
-//! histogram join — each against its straightforward reference.
+//! kernel, the covering-bucket equality search, the merge-scan histogram
+//! join, and the exact `diff` of a SIT build — each against its
+//! straightforward reference.
 //!
 //! Every variant pair is checked for equivalence while being timed: the
-//! equality search and the merge-scan join must match their references
-//! **bit for bit** (they are drop-in replacements on the estimator's hot
-//! path); the CDF range kernel is allowed the documented prefix-subtraction
-//! rounding versus a full bucket scan and is checked to a relative
-//! tolerance instead.
+//! equality search, the merge-scan join and the merged `diff` must match
+//! their references **bit for bit** (they are drop-in replacements); the
+//! CDF range kernel is allowed the documented prefix-subtraction rounding
+//! versus a full bucket scan and is checked to a relative tolerance instead.
 //!
 //! Timings are medians over `--reps` runs of a fixed op batch, reported as
 //! ns/op. Results are printed as a table and written to
@@ -20,16 +20,17 @@
 //!     [-- --buckets 200 --hists 64 --probes 4096 --reps 7]
 //! ```
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use serde::Serialize;
 use sqe_bench::report::{render_table, round_us, write_json};
 use sqe_bench::Args;
-use sqe_histogram::{Bucket, Histogram};
+use sqe_histogram::{diff_exact, Bucket, Frequencies, Histogram};
 
 #[derive(Serialize)]
 struct KernelRow {
-    /// Kernel family: `range`, `eq`, `join`.
+    /// Kernel family: `range`, `eq`, `join`, `diff`.
     kernel: String,
     /// `reference` or the optimized variant's name.
     variant: String,
@@ -83,6 +84,50 @@ fn random_hist(rng: &mut Rng, max_buckets: usize) -> Histogram {
         lo = hi + 1 + (rng.next() % 5) as i64; // optional gap
     }
     Histogram::new(buckets, (rng.next() % 50) as f64)
+}
+
+/// A base column and a join result over it, shaped like a pool's SIT
+/// inputs: a skewed domain with duplicates, and a result that repeats each
+/// base row by a skewed fan-out (0 to 8, mean 1.9), so it is usually the
+/// larger side.
+fn random_column_pair(rng: &mut Rng) -> (Vec<i64>, Vec<i64>) {
+    let rows = 500 + (rng.next() % 2500) as usize;
+    let domain = 20 + (rng.next() % 600) as i64;
+    let base: Vec<i64> = (0..rows)
+        .map(|_| {
+            let v = rng.in_range(0, domain);
+            // Square the draw towards 0: low values repeat more.
+            v * v / domain - domain / 2
+        })
+        .collect();
+    let expr = base
+        .iter()
+        .flat_map(|&v| {
+            let fanout = (rng.next() % 5) * (rng.next() % 5) / 2;
+            std::iter::repeat_n(v, fanout as usize)
+        })
+        .collect();
+    (base, expr)
+}
+
+/// The reference `diff`: both sides counted into one ordered map.
+fn diff_btree(base: &[i64], expr_result: &[i64]) -> f64 {
+    if base.is_empty() || expr_result.is_empty() {
+        return 0.0;
+    }
+    let mut freq: BTreeMap<i64, (u64, u64)> = BTreeMap::new();
+    for &v in base {
+        freq.entry(v).or_default().0 += 1;
+    }
+    for &v in expr_result {
+        freq.entry(v).or_default().1 += 1;
+    }
+    let (nb, ne) = (base.len() as f64, expr_result.len() as f64);
+    let sum: f64 = freq
+        .values()
+        .map(|&(fb, fe)| (fb as f64 / nb - fe as f64 / ne).abs())
+        .sum();
+    (0.5 * sum).clamp(0.0, 1.0)
 }
 
 /// Median ns/op over `reps` timed runs of `work` (which performs `ops`
@@ -264,6 +309,39 @@ fn main() {
         "merge-scan join diverged from reference"
     );
     push("join", "merge_scan", ns_join, join_ops, sum_join);
+
+    // --- diff: sorted lists + merge vs one BTreeMap over both sides -----
+    let column_pairs: Vec<(Vec<i64>, Vec<i64>)> =
+        (0..hists).map(|_| random_column_pair(&mut rng)).collect();
+    let diff_ops = column_pairs.len() as u64;
+    let (ns_dref, sum_dref) = time_ns_per_op(reps, diff_ops, |seed| {
+        let mut acc = seed;
+        for (base, expr) in &column_pairs {
+            acc += diff_btree(base, expr);
+        }
+        acc
+    });
+    push("diff", "btreemap_reference", ns_dref, diff_ops, sum_dref);
+    // Both lists are built inside the timed region, from copies of the
+    // values (a pool build gathers them straight into the sorted vector,
+    // and shares the base list between SITs).
+    let (ns_diff, sum_diff) = time_ns_per_op(reps, diff_ops, |seed| {
+        let mut acc = seed;
+        for (base, expr) in &column_pairs {
+            acc += diff_exact(
+                &Frequencies::from_values(base.clone()),
+                &Frequencies::from_values(expr.clone()),
+            );
+        }
+        acc
+    });
+    // The merge sums the reference's terms in the reference's order.
+    assert_eq!(
+        sum_dref.to_bits(),
+        sum_diff.to_bits(),
+        "merged diff diverged from the BTreeMap reference"
+    );
+    push("diff", "sorted_merge", ns_diff, diff_ops, sum_diff);
 
     println!("kernels_bench — histogram kernel microbenchmarks\n");
     let table: Vec<Vec<String>> = rows

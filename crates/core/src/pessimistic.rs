@@ -23,10 +23,10 @@
 //! which is what backs the `Quality::Bound` floor of the degradation
 //! ladder and the service's `Estimate::upper_bound` field.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use sqe_engine::{Database, Predicate, SpjQuery, TableId};
+use sqe_histogram::Frequencies;
 
 use crate::backend::SelectivityBackend;
 use crate::failpoint;
@@ -46,8 +46,8 @@ pub struct BoundSketch {
 }
 
 impl BoundSketch {
-    /// Scans every column once and records row counts and maximum value
-    /// frequencies.
+    /// Records every table's row count and, per column, the longest run of
+    /// equal values in its sorted frequency list.
     pub fn build(db: &Database) -> Self {
         let mut tables = Vec::with_capacity(db.table_count());
         for t in 0..db.table_count() as u32 {
@@ -58,13 +58,7 @@ impl BoundSketch {
             let max_freq = table
                 .columns()
                 .iter()
-                .map(|col| {
-                    let mut freq: HashMap<i64, u64> = HashMap::new();
-                    for v in col.iter_valid() {
-                        *freq.entry(v).or_insert(0) += 1;
-                    }
-                    freq.values().copied().max().unwrap_or(0) as f64
-                })
+                .map(|col| Frequencies::from_values(col.valid_values()).max_count() as f64)
                 .collect();
             tables.push(TableDegrees {
                 rows: table.row_count() as f64,
@@ -207,6 +201,10 @@ impl SelectivityBackend for PessimisticBackend {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use proptest::prelude::*;
+
     use super::*;
     use sqe_engine::table::TableBuilder;
     use sqe_engine::{CardinalityOracle, CmpOp, ColRef};
@@ -278,6 +276,50 @@ mod tests {
             2,
         )]);
         assert_eq!(sketch.upper_bound(&query).unwrap(), 8.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The sorted-list sketch records what counting every column in a
+        /// hash map records, NULLs, empty and all-NULL columns included.
+        #[test]
+        fn sketch_equals_a_hash_map_count(
+            r in prop::collection::vec(
+                (prop::option::of(-8i64..8), prop::option::of(0i64..1000)),
+                0..120,
+            ),
+            s in prop::collection::vec(prop::option::of(-3i64..3), 0..60),
+        ) {
+            let mut db = Database::new();
+            db.add_table(
+                TableBuilder::new("r")
+                    .nullable_column("k", r.iter().map(|p| p.0).collect())
+                    .nullable_column("u", r.iter().map(|p| p.1).collect())
+                    .build()
+                    .unwrap(),
+            );
+            db.add_table(
+                TableBuilder::new("s")
+                    .nullable_column("k", s.clone())
+                    .nullable_column("nulls", vec![None; s.len()])
+                    .build()
+                    .unwrap(),
+            );
+            let sketch = BoundSketch::build(&db);
+            for (t, table) in sketch.tables.iter().enumerate() {
+                let table_ref = db.table(TableId(t as u32)).unwrap();
+                prop_assert_eq!(table.rows, table_ref.row_count() as f64);
+                for (col, &got) in table_ref.columns().iter().zip(&table.max_freq) {
+                    let mut freq: HashMap<i64, u64> = HashMap::new();
+                    for v in col.iter_valid() {
+                        *freq.entry(v).or_insert(0) += 1;
+                    }
+                    let want = freq.values().copied().max().unwrap_or(0) as f64;
+                    prop_assert_eq!(got.to_bits(), want.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

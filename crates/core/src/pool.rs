@@ -17,21 +17,25 @@
 //! that expression, and distinct expressions execute **in parallel**
 //! across threads (pool construction is the system's dominant offline
 //! cost; the expressions are independent joins over a shared read-only
-//! database). The resulting catalog is assembled in a deterministic order,
-//! so parallel and sequential builds produce identical catalogs.
+//! database). Each attribute's base column is counted into one sorted
+//! frequency list per build, by whichever worker needs it first; the
+//! attribute's base histogram and the `diff` of every SIT on it read that
+//! list. The resulting catalog is assembled in a deterministic order, so
+//! parallel and sequential builds produce identical catalogs.
 
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use sqe_engine::dsu::Dsu;
 use sqe_engine::{
     execute_connected, ColRef, Database, Predicate, Result as EngineResult, SpjQuery, TableId,
 };
+use sqe_histogram::Frequencies;
 
 use crate::predset::PredSet;
-use crate::sit::{Sit, SitCatalog, SitOptions};
+use crate::sit::{base_frequencies, Sit, SitCatalog, SitOptions};
 
 /// Specification of a pool to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,11 +137,27 @@ pub fn build_pool_threaded(
         attrs.dedup();
     }
 
+    // Every attribute has a base definition, so this lists them all.
+    let mut base_attrs: Vec<ColRef> = conds.iter().flat_map(|(_, a)| a.iter().copied()).collect();
+    base_attrs.sort_unstable();
+    base_attrs.dedup();
+    let base_lists: Vec<OnceLock<EngineResult<Frequencies>>> =
+        base_attrs.iter().map(|_| OnceLock::new()).collect();
+    let base_list = |attr: ColRef| -> EngineResult<&Frequencies> {
+        let i = base_attrs
+            .binary_search(&attr)
+            .expect("every SIT attribute is listed");
+        base_lists[i]
+            .get_or_init(|| base_frequencies(db, attr))
+            .as_ref()
+            .map_err(Clone::clone)
+    };
+
     let build_group = |cond: &[Predicate], attrs: &[ColRef]| -> EngineResult<Vec<Sit>> {
         if cond.is_empty() {
             return attrs
                 .iter()
-                .map(|&attr| Sit::build_base_with(db, attr, opts))
+                .map(|&attr| Sit::base_from(db, attr, base_list(attr)?, opts))
                 .collect();
         }
         let mut tables: Vec<TableId> = cond.iter().flat_map(|p| p.tables().iter()).collect();
@@ -146,7 +166,7 @@ pub fn build_pool_threaded(
         let rows = execute_connected(db, &tables, cond)?;
         attrs
             .iter()
-            .map(|&attr| Sit::from_rowset_with(db, attr, cond.to_vec(), &rows, opts))
+            .map(|&attr| Sit::from_rowset(db, attr, cond.to_vec(), &rows, base_list(attr)?, opts))
             .collect()
     };
 
@@ -218,9 +238,13 @@ fn subset_connected_with(joins: &[Predicate], anchor: TableId) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
+    use sqe_datagen::{generate_workload, Snowflake, SnowflakeConfig, WorkloadConfig};
     use sqe_engine::table::TableBuilder;
     use sqe_engine::{CmpOp, TableId};
+    use sqe_histogram::{build_maxdiff, Histogram};
 
     fn c(t: u32, col: u16) -> ColRef {
         ColRef::new(TableId(t), col)
@@ -358,6 +382,111 @@ mod tests {
                 "diff must be bit-identical"
             );
             assert_eq!(sa.histogram, sb.histogram);
+        }
+    }
+
+    /// The `diff` reference: both sides counted into one ordered map.
+    fn diff_btree(base: &[i64], expr_result: &[i64]) -> f64 {
+        if base.is_empty() || expr_result.is_empty() {
+            return 0.0;
+        }
+        let mut freq: BTreeMap<i64, (u64, u64)> = BTreeMap::new();
+        for &v in base {
+            freq.entry(v).or_default().0 += 1;
+        }
+        for &v in expr_result {
+            freq.entry(v).or_default().1 += 1;
+        }
+        let (nb, ne) = (base.len() as f64, expr_result.len() as f64);
+        let sum: f64 = freq
+            .values()
+            .map(|&(fb, fe)| (fb as f64 / nb - fe as f64 / ne).abs())
+            .sum();
+        (0.5 * sum).clamp(0.0, 1.0)
+    }
+
+    /// One SIT built alone, with no shared list: the expression's column
+    /// gathered into a `Column`, its histogram built from the values, and
+    /// `diff` counted against the base column in a `BTreeMap`.
+    fn reference_sit(db: &Database, attr: ColRef, cond: &[Predicate]) -> Sit {
+        let base = db.column(attr).unwrap();
+        let (values, nulls) = if cond.is_empty() {
+            (base.valid_values(), base.null_count())
+        } else {
+            let mut tables: Vec<TableId> = cond.iter().flat_map(|p| p.tables().iter()).collect();
+            tables.sort_unstable();
+            tables.dedup();
+            let rows = execute_connected(db, &tables, cond).unwrap();
+            let col = rows.gather(db, attr).unwrap();
+            (col.valid_values(), col.null_count())
+        };
+        let diff = if cond.is_empty() {
+            0.0
+        } else {
+            diff_btree(&base.valid_values(), &values)
+        };
+        Sit {
+            attr,
+            cond: cond.to_vec(),
+            histogram: build_maxdiff(&values, nulls, SitOptions::default().buckets),
+            diff,
+        }
+    }
+
+    /// Bucket bounds, `freq` and `distinct` bits, and the NULL count bits.
+    fn bits(h: &Histogram) -> (Vec<(i64, i64, u64, u64)>, u64) {
+        let buckets = h
+            .buckets()
+            .iter()
+            .map(|b| (b.lo, b.hi, b.freq.to_bits(), b.distinct.to_bits()))
+            .collect();
+        (buckets, h.null_count().to_bits())
+    }
+
+    #[test]
+    fn shared_list_pools_equal_sits_built_alone() {
+        let sf = Snowflake::generate(SnowflakeConfig {
+            scale: 0.002,
+            min_rows: 100,
+            ..SnowflakeConfig::default()
+        });
+        let wl = generate_workload(
+            &sf.db,
+            &sf.join_edges,
+            &sf.filter_columns,
+            WorkloadConfig {
+                queries: 6,
+                joins: 3,
+                ..WorkloadConfig::default()
+            },
+        );
+        for i in 0..=2 {
+            for threads in [1, 2] {
+                let threads = NonZeroUsize::new(threads).unwrap();
+                let pool = build_pool_threaded(
+                    &sf.db,
+                    &wl,
+                    PoolSpec::ji(i),
+                    SitOptions::default(),
+                    threads,
+                )
+                .unwrap();
+                assert!(pool.iter().any(|(_, s)| s.histogram.null_count() > 0.0));
+                for (_, sit) in pool.iter() {
+                    let want = reference_sit(&sf.db, sit.attr, &sit.cond);
+                    assert_eq!((sit.attr, &sit.cond), (want.attr, &want.cond));
+                    assert_eq!(
+                        sit.diff.to_bits(),
+                        want.diff.to_bits(),
+                        "J{i} at {threads} threads: diff of {sit}"
+                    );
+                    assert_eq!(
+                        bits(&sit.histogram),
+                        bits(&want.histogram),
+                        "J{i} at {threads} threads: buckets of {sit}"
+                    );
+                }
+            }
         }
     }
 

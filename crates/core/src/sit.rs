@@ -8,12 +8,19 @@
 //! distribution over `σ_Q(R^×)`, precomputed at build time ("values of diff
 //! are calculated just once and stored with each SIT, so there is no
 //! overhead at runtime").
+//!
+//! Both come from sorted frequency lists ([`Frequencies`]): a SIT sorts its
+//! expression's values once, builds its histogram from that list, and merges
+//! it with the base column's list for `diff`. The pool builder counts each
+//! base column once and hands the list to every SIT on the attribute.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use sqe_engine::{execute_connected, ColRef, Database, Predicate, Result as EngineResult, RowSet};
-use sqe_histogram::{diff_exact, BuilderKind, Histogram, DEFAULT_BUCKETS};
+use sqe_engine::{
+    execute_connected, ColRef, Database, EngineError, Predicate, Result as EngineResult, RowSet,
+};
+use sqe_histogram::{diff_exact, BuilderKind, Frequencies, Histogram, DEFAULT_BUCKETS};
 
 /// Construction knobs for SIT histograms — the paper uses maxDiff with at
 /// most 200 buckets; ablation experiments vary both.
@@ -90,39 +97,40 @@ impl Sit {
         tables.sort_unstable();
         tables.dedup();
         let rows = execute_connected(db, &tables, &cond)?;
-        Self::from_rowset_with(db, attr, cond, &rows, opts)
+        Self::from_rowset(db, attr, cond, &rows, &base_frequencies(db, attr)?, opts)
     }
 
-    /// Builds a SIT from an already-executed expression result (used by the
-    /// pool builder, which shares one execution among all SITs with the
-    /// same expression).
-    pub fn from_rowset(
+    /// Builds a SIT from an already-executed expression result and the
+    /// frequency list of `attr`'s base column (see [`base_frequencies`]).
+    /// The pool builder shares one execution among all SITs with the same
+    /// expression, and one base list among all SITs on the same attribute.
+    pub(crate) fn from_rowset(
         db: &Database,
         attr: ColRef,
         cond: Vec<Predicate>,
         rows: &RowSet,
-    ) -> EngineResult<Self> {
-        Self::from_rowset_with(db, attr, cond, rows, SitOptions::default())
-    }
-
-    /// [`Self::from_rowset`] with explicit histogram construction options.
-    pub fn from_rowset_with(
-        db: &Database,
-        attr: ColRef,
-        cond: Vec<Predicate>,
-        rows: &RowSet,
+        base: &Frequencies,
         opts: SitOptions,
     ) -> EngineResult<Self> {
-        let col = rows.gather(db, attr)?;
-        let values = col.valid_values();
-        let histogram = opts.kind.build(&values, col.null_count(), opts.buckets);
-        let base_values = db.column(attr)?.valid_values();
-        let diff = diff_exact(&base_values, &values);
+        let picked = rows
+            .rows_of(attr.table)
+            .ok_or(EngineError::PredicateOutOfScope { table: attr.table })?;
+        let col = db.column(attr)?;
+        // The valid values go straight into the vector the list sorts; the
+        // ordered kinds gather them again, in row order.
+        let freqs = Frequencies::from_values(col.gather_valid(picked));
+        let null_count = picked.len() - freqs.rows() as usize;
+        let histogram = opts.kind.build_from(
+            &freqs,
+            || col.gather_valid(picked),
+            null_count,
+            opts.buckets,
+        );
         Ok(Sit {
             attr,
             cond,
             histogram,
-            diff,
+            diff: diff_exact(base, &freqs),
         })
     }
 
@@ -134,9 +142,20 @@ impl Sit {
 
     /// [`Self::build_base`] with explicit histogram construction options.
     pub fn build_base_with(db: &Database, attr: ColRef, opts: SitOptions) -> EngineResult<Self> {
+        Self::base_from(db, attr, &base_frequencies(db, attr)?, opts)
+    }
+
+    /// A base-table histogram built from the column's frequency list.
+    pub(crate) fn base_from(
+        db: &Database,
+        attr: ColRef,
+        base: &Frequencies,
+        opts: SitOptions,
+    ) -> EngineResult<Self> {
         let col = db.column(attr)?;
-        let values = col.valid_values();
-        let histogram = opts.kind.build(&values, col.null_count(), opts.buckets);
+        let histogram =
+            opts.kind
+                .build_from(base, || col.valid_values(), col.null_count(), opts.buckets);
         Ok(Sit {
             attr,
             cond: Vec::new(),
@@ -144,6 +163,12 @@ impl Sit {
             diff: 0.0,
         })
     }
+}
+
+/// The frequency list of `attr`'s base column: the `R` side of every
+/// `diff` on the attribute, and its base histogram's input.
+pub(crate) fn base_frequencies(db: &Database, attr: ColRef) -> EngineResult<Frequencies> {
+    Ok(Frequencies::from_values(db.column(attr)?.valid_values()))
 }
 
 impl fmt::Display for Sit {

@@ -20,7 +20,9 @@ use std::collections::HashMap;
 use std::fmt;
 
 use sqe_engine::{execute_connected, ColRef, Database, Predicate, Result as EngineResult, RowSet};
-use sqe_histogram::{diff_from_histograms, Hist2d, Histogram};
+use sqe_histogram::{diff_from_histograms, Frequencies, Hist2d, Histogram};
+
+use crate::sit::base_frequencies;
 
 /// Identifier of a [`Sit2`] within a [`Sit2Catalog`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -104,9 +106,8 @@ impl Sit2 {
         let grid = Hist2d::build(&pairs, nulls, grid * 16, grid);
         let y_marginal = grid.y_marginal();
         // Divergence of the carried attribute vs its base distribution.
-        let base_y: Vec<i64> = db.column(y)?.valid_values();
-        let expr_y: Vec<i64> = pairs.iter().map(|&(_, b)| b).collect();
-        let diff = sqe_histogram::diff_exact(&base_y, &expr_y);
+        let expr_y = Frequencies::from_values(pairs.iter().map(|&(_, b)| b).collect());
+        let diff = sqe_histogram::diff_exact(&base_frequencies(db, y)?, &expr_y);
         Ok(Sit2 {
             x,
             y,

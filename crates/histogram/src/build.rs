@@ -1,11 +1,61 @@
 //! Histogram construction: maxDiff, equi-depth, equi-width, exact.
 //!
-//! All builders take a slice of non-NULL values (order irrelevant) plus the
-//! number of NULL rows, and a bucket budget. The paper's SITs use
-//! **maxDiff** with at most 200 buckets (§5); the other builders exist as
-//! baselines and for ablation benchmarks.
+//! Every builder works on a [`Frequencies`] list: the multiset of non-NULL
+//! values as `(value, count)` pairs in ascending value order, made by one
+//! in-place sort. A SIT's histogram and its `diff` read the same list, and
+//! the pool builder counts each base column once for every SIT on it. The
+//! `build_*` functions take a slice of non-NULL values (order irrelevant)
+//! instead, plus the number of NULL rows and a bucket budget, and sort a
+//! copy. The paper's SITs use **maxDiff** with at most 200 buckets (§5); the
+//! other builders exist as baselines and for ablation benchmarks.
 
 use crate::histogram::{Bucket, Histogram};
+
+/// A multiset of `i64` values as its distinct values in ascending order,
+/// each with its count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frequencies {
+    /// `(value, count)` with strictly ascending values and counts ≥ 1.
+    pairs: Vec<(i64, u64)>,
+    /// Sum of the counts: the number of values in the multiset.
+    rows: u64,
+}
+
+impl Frequencies {
+    /// Counts a multiset by sorting it in place.
+    pub fn from_values(mut values: Vec<i64>) -> Self {
+        values.sort_unstable();
+        let pairs = values
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len() as u64))
+            .collect();
+        Frequencies {
+            pairs,
+            rows: values.len() as u64,
+        }
+    }
+
+    /// The `(value, count)` pairs in ascending value order.
+    pub fn pairs(&self) -> &[(i64, u64)] {
+        &self.pairs
+    }
+
+    /// Number of values counted (the sum of the counts).
+    pub fn rows(&self) -> u64 {
+        self.rows
+    }
+
+    /// True when no value was counted.
+    pub fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    /// The highest count of any one value: the length of the longest run
+    /// of equal values. 0 for an empty multiset.
+    pub fn max_count(&self) -> u64 {
+        self.pairs.iter().map(|&(_, c)| c).max().unwrap_or(0)
+    }
+}
 
 /// Which construction algorithm to use — for ablation experiments against
 /// the paper's choice (maxDiff).
@@ -30,18 +80,28 @@ pub enum BuilderKind {
 }
 
 impl BuilderKind {
-    /// Builds a histogram with this algorithm.
-    pub fn build(self, values: &[i64], null_count: usize, max_buckets: usize) -> Histogram {
+    /// Builds a histogram of a multiset from its frequency list. The sampled
+    /// and wavelet synopses are built from the values themselves, in their
+    /// original order (the reservoir sample depends on it): `values` yields
+    /// them, and no other kind calls it.
+    pub fn build_from(
+        self,
+        freqs: &Frequencies,
+        values: impl FnOnce() -> Vec<i64>,
+        null_count: usize,
+        max_buckets: usize,
+    ) -> Histogram {
         match self {
-            BuilderKind::MaxDiff => build_maxdiff(values, null_count, max_buckets),
-            BuilderKind::EquiDepth => build_equi_depth(values, null_count, max_buckets),
-            BuilderKind::EquiWidth => build_equi_width(values, null_count, max_buckets),
-            BuilderKind::Exact => build_exact(values, null_count),
+            BuilderKind::MaxDiff => maxdiff(freqs, null_count, max_buckets),
+            BuilderKind::EquiDepth => equi_depth(freqs, null_count, max_buckets),
+            BuilderKind::EquiWidth => equi_width(freqs, null_count, max_buckets),
+            BuilderKind::Exact => exact(freqs, null_count),
             BuilderKind::Sampled => {
-                crate::sample::Sample::build(values, null_count, max_buckets, 0x5A4D).to_histogram()
+                crate::sample::Sample::build(&values(), null_count, max_buckets, 0x5A4D)
+                    .to_histogram()
             }
             BuilderKind::Wavelet => {
-                crate::wavelet::WaveletSynopsis::build(values, null_count, max_buckets)
+                crate::wavelet::WaveletSynopsis::build(&values(), null_count, max_buckets)
                     .to_histogram()
             }
         }
@@ -58,20 +118,6 @@ impl BuilderKind {
             BuilderKind::Wavelet => "wavelet",
         }
     }
-}
-
-/// `(value, frequency)` pairs sorted by value.
-fn value_frequencies(values: &[i64]) -> Vec<(i64, u64)> {
-    let mut sorted = values.to_vec();
-    sorted.sort_unstable();
-    let mut out: Vec<(i64, u64)> = Vec::new();
-    for v in sorted {
-        match out.last_mut() {
-            Some((last, f)) if *last == v => *f += 1,
-            _ => out.push((v, 1)),
-        }
-    }
-    out
 }
 
 /// Builds buckets from a partition of the sorted distinct-value list.
@@ -99,8 +145,12 @@ fn buckets_from_cuts(freqs: &[(i64, u64)], cut_after: &[bool]) -> Vec<Bucket> {
 /// Builds an *exact* histogram: one bucket per distinct value. Unbounded
 /// size — use only for small domains or as a reference in tests.
 pub fn build_exact(values: &[i64], null_count: usize) -> Histogram {
-    let freqs = value_frequencies(values);
+    exact(&Frequencies::from_values(values.to_vec()), null_count)
+}
+
+fn exact(freqs: &Frequencies, null_count: usize) -> Histogram {
     let buckets = freqs
+        .pairs()
         .iter()
         .map(|&(v, f)| Bucket {
             lo: v,
@@ -117,12 +167,20 @@ pub fn build_exact(values: &[i64], null_count: usize) -> Histogram {
 /// (frequency × spread) between adjacent distinct values, which isolates
 /// skewed values into their own buckets.
 pub fn build_maxdiff(values: &[i64], null_count: usize, max_buckets: usize) -> Histogram {
-    let freqs = value_frequencies(values);
+    maxdiff(
+        &Frequencies::from_values(values.to_vec()),
+        null_count,
+        max_buckets,
+    )
+}
+
+fn maxdiff(list: &Frequencies, null_count: usize, max_buckets: usize) -> Histogram {
+    let freqs = list.pairs();
     if freqs.is_empty() {
         return Histogram::new(Vec::new(), null_count as f64);
     }
     if freqs.len() <= max_buckets.max(1) {
-        return build_exact(values, null_count);
+        return exact(list, null_count);
     }
     // Area of distinct value i: freq_i × spread_i, where spread is the gap
     // to the next distinct value (1 for the last).
@@ -145,19 +203,27 @@ pub fn build_maxdiff(values: &[i64], null_count: usize, max_buckets: usize) -> H
     for &(_, i) in diffs.iter().take(n_cuts) {
         cut_after[i] = true;
     }
-    Histogram::new(buckets_from_cuts(&freqs, &cut_after), null_count as f64)
+    Histogram::new(buckets_from_cuts(freqs, &cut_after), null_count as f64)
 }
 
 /// Builds an equi-depth histogram: each bucket holds roughly `rows /
 /// max_buckets` rows (boundaries never split one distinct value across
 /// buckets).
 pub fn build_equi_depth(values: &[i64], null_count: usize, max_buckets: usize) -> Histogram {
-    let freqs = value_frequencies(values);
+    equi_depth(
+        &Frequencies::from_values(values.to_vec()),
+        null_count,
+        max_buckets,
+    )
+}
+
+fn equi_depth(list: &Frequencies, null_count: usize, max_buckets: usize) -> Histogram {
+    let freqs = list.pairs();
     if freqs.is_empty() {
         return Histogram::new(Vec::new(), null_count as f64);
     }
     if freqs.len() <= max_buckets.max(1) {
-        return build_exact(values, null_count);
+        return exact(list, null_count);
     }
     let total: u64 = freqs.iter().map(|&(_, f)| f).sum();
     let target = (total as f64 / max_buckets.max(1) as f64).max(1.0);
@@ -172,18 +238,26 @@ pub fn build_equi_depth(values: &[i64], null_count: usize, max_buckets: usize) -
             cuts += 1;
         }
     }
-    Histogram::new(buckets_from_cuts(&freqs, &cut_after), null_count as f64)
+    Histogram::new(buckets_from_cuts(freqs, &cut_after), null_count as f64)
 }
 
 /// Builds an equi-width histogram: the value domain is split into
 /// `max_buckets` equal-width ranges.
 pub fn build_equi_width(values: &[i64], null_count: usize, max_buckets: usize) -> Histogram {
-    let freqs = value_frequencies(values);
+    equi_width(
+        &Frequencies::from_values(values.to_vec()),
+        null_count,
+        max_buckets,
+    )
+}
+
+fn equi_width(list: &Frequencies, null_count: usize, max_buckets: usize) -> Histogram {
+    let freqs = list.pairs();
     if freqs.is_empty() {
         return Histogram::new(Vec::new(), null_count as f64);
     }
     if freqs.len() <= max_buckets.max(1) {
-        return build_exact(values, null_count);
+        return exact(list, null_count);
     }
     let lo = freqs[0].0;
     let hi = freqs[freqs.len() - 1].0;
@@ -197,15 +271,101 @@ pub fn build_equi_width(values: &[i64], null_count: usize, max_buckets: usize) -
             cut_after[i] = true;
         }
     }
-    Histogram::new(buckets_from_cuts(&freqs, &cut_after), null_count as f64)
+    Histogram::new(buckets_from_cuts(freqs, &cut_after), null_count as f64)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     fn total_freq(h: &Histogram) -> f64 {
         h.valid_rows()
+    }
+
+    /// A frequency list counted through an ordered map instead of a sort.
+    fn counted_by_map(values: &[i64]) -> Frequencies {
+        let mut freq: BTreeMap<i64, u64> = BTreeMap::new();
+        for &v in values {
+            *freq.entry(v).or_default() += 1;
+        }
+        Frequencies {
+            pairs: freq.into_iter().collect(),
+            rows: values.len() as u64,
+        }
+    }
+
+    /// A builder's slice form: values, NULL count, bucket budget.
+    type SliceBuilder = fn(&[i64], usize, usize) -> Histogram;
+
+    /// Bucket bounds, `freq` and `distinct` bits, and the NULL count bits.
+    type HistogramBits = (Vec<(i64, i64, u64, u64)>, u64);
+
+    fn bits(h: &Histogram) -> HistogramBits {
+        let buckets = h
+            .buckets()
+            .iter()
+            .map(|b| (b.lo, b.hi, b.freq.to_bits(), b.distinct.to_bits()))
+            .collect();
+        (buckets, h.null_count().to_bits())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every list builder gives, from a list counted through a map, the
+        /// bits its slice form gives from the values.
+        #[test]
+        fn list_built_histograms_equal_value_built_ones(
+            values in prop::collection::vec(-60i64..60, 0..400),
+            nulls in 0usize..12,
+            buckets in 1usize..48,
+        ) {
+            let list = counted_by_map(&values);
+            prop_assert_eq!(&Frequencies::from_values(values.clone()), &list);
+            let builders: [(BuilderKind, SliceBuilder); 4] = [
+                (BuilderKind::MaxDiff, build_maxdiff),
+                (BuilderKind::EquiDepth, build_equi_depth),
+                (BuilderKind::EquiWidth, build_equi_width),
+                (BuilderKind::Exact, |v, n, _| build_exact(v, n)),
+            ];
+            for (kind, from_values) in builders {
+                let from_list =
+                    kind.build_from(&list, || unreachable!("list kinds never read the values"), nulls, buckets);
+                prop_assert_eq!(
+                    bits(&from_list),
+                    bits(&from_values(&values, nulls, buckets)),
+                    "{} built from the list differs",
+                    kind.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn frequencies_count_a_multiset() {
+        let f = Frequencies::from_values(vec![3, -1, 3, 7, 3, -1]);
+        assert_eq!(f.pairs(), &[(-1, 2), (3, 3), (7, 1)]);
+        assert_eq!(f.rows(), 6);
+        assert_eq!(f.max_count(), 3);
+        let empty = Frequencies::from_values(Vec::new());
+        assert!(empty.is_empty());
+        assert_eq!((empty.rows(), empty.max_count()), (0, 0));
+    }
+
+    #[test]
+    fn ordered_kinds_read_the_values_in_their_order() {
+        let values: Vec<i64> = (0..500).map(|i| (i * 37) % 101).collect();
+        let list = Frequencies::from_values(values.clone());
+        let sampled = BuilderKind::Sampled.build_from(&list, || values.clone(), 2, 16);
+        let want = crate::sample::Sample::build(&values, 2, 16, 0x5A4D).to_histogram();
+        assert_eq!(bits(&sampled), bits(&want));
+        let wavelet = BuilderKind::Wavelet.build_from(&list, || values.clone(), 2, 16);
+        let want = crate::wavelet::WaveletSynopsis::build(&values, 2, 16).to_histogram();
+        assert_eq!(bits(&wavelet), bits(&want));
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! * the **`diff` metric** of §3.5: the total variation distance
 //!   `½·Σ_x |f(R,x)/|R| − f(T′,x)/|T′||` between a base-table distribution
 //!   and the distribution over a query expression's result, computed either
-//!   exactly from values or approximately from a pair of histograms.
+//!   exactly from the two sides' sorted `(value, count)` lists
+//!   ([`Frequencies`], which the builders read too) or approximately from a
+//!   pair of histograms.
 //!
 //! Histograms track NULLs separately (`null_count`): NULL never satisfies a
 //! predicate, so estimates are fractions of *all* rows (valid + NULL) while
@@ -30,7 +32,9 @@ pub mod maintain;
 pub mod sample;
 pub mod wavelet;
 
-pub use build::{build_equi_depth, build_equi_width, build_exact, build_maxdiff, BuilderKind};
+pub use build::{
+    build_equi_depth, build_equi_width, build_exact, build_maxdiff, BuilderKind, Frequencies,
+};
 pub use diff::{diff_exact, diff_from_histograms};
 pub use hist2d::Hist2d;
 pub use histogram::{Bucket, Histogram, JoinResult};

@@ -106,10 +106,10 @@ fn cap_buckets(buckets: &mut Vec<Bucket>, max_buckets: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::BuilderKind;
+    use crate::build::build_exact;
 
     fn exact(values: &[i64]) -> Histogram {
-        BuilderKind::Exact.build(values, 0, usize::MAX)
+        build_exact(values, 0)
     }
 
     #[test]

@@ -5,6 +5,7 @@ use proptest::prelude::*;
 
 use sqe::engine::brute::{count_brute_force, DEFAULT_LIMIT};
 use sqe::engine::table::TableBuilder;
+use sqe::histogram::Frequencies;
 use sqe::prelude::*;
 
 /// Strategy: a small database of 3 tables with 2 columns each, values in a
@@ -173,6 +174,7 @@ proptest! {
         a in prop::collection::vec(0i64..30, 1..100),
         b in prop::collection::vec(0i64..30, 1..100),
     ) {
+        let (a, b) = (Frequencies::from_values(a), Frequencies::from_values(b));
         let d_ab = sqe::histogram::diff_exact(&a, &b);
         let d_ba = sqe::histogram::diff_exact(&b, &a);
         prop_assert!((0.0..=1.0).contains(&d_ab));
