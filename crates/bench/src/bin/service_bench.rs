@@ -49,7 +49,6 @@ struct DegradedRow {
     p99_us: f64,
     full: u64,
     beam: u64,
-    pruned: u64,
     greedy: u64,
     independence: u64,
     /// Rungs skipped as unable to finish in their slice.
@@ -193,7 +192,7 @@ fn main() {
         let budget =
             deadline.map_or_else(Budget::unlimited, |d| Budget::unlimited().with_deadline(d));
         let mut lat_us: Vec<f64> = Vec::with_capacity(workload.len());
-        let mut mix = [0u64; 6]; // full / beam / pruned / greedy / independence / bound
+        let mut mix = [0u64; 5]; // full / beam / greedy / independence / bound
         for q in &workload {
             let t = Instant::now();
             let e = svc
@@ -203,10 +202,10 @@ fn main() {
             match e.quality {
                 Quality::Full => mix[0] += 1,
                 Quality::Beam => mix[1] += 1,
-                Quality::Pruned => mix[2] += 1,
-                Quality::Greedy => mix[3] += 1,
-                Quality::Independence => mix[4] += 1,
-                Quality::Bound => mix[5] += 1,
+                Quality::Greedy => mix[2] += 1,
+                Quality::Independence => mix[3] += 1,
+                Quality::Bound => mix[4] += 1,
+                Quality::Pruned => unreachable!("no ladder rung answers pruned"),
             }
         }
         lat_us.sort_by(f64::total_cmp);
@@ -224,9 +223,8 @@ fn main() {
             p99_us: round_us(pct(0.99)),
             full: mix[0],
             beam: mix[1],
-            pruned: mix[2],
-            greedy: mix[3],
-            independence: mix[4],
+            greedy: mix[2],
+            independence: mix[3],
             skipped: svc.stats().rung_skipped.iter().sum(),
         });
     }
@@ -239,7 +237,6 @@ fn main() {
                 format!("{:.1}", r.p99_us),
                 r.full.to_string(),
                 r.beam.to_string(),
-                r.pruned.to_string(),
                 r.greedy.to_string(),
                 r.independence.to_string(),
                 r.skipped.to_string(),
@@ -249,10 +246,7 @@ fn main() {
     println!(
         "{}",
         render_table(
-            &[
-                "deadline", "p50 µs", "p99 µs", "full", "beam", "pruned", "greedy", "indep",
-                "skipped"
-            ],
+            &["deadline", "p50 µs", "p99 µs", "full", "beam", "greedy", "indep", "skipped"],
             &degraded_table
         )
     );

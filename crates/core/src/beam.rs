@@ -27,19 +27,22 @@
 //!
 //! ## Exactness at unbounded width
 //!
-//! With `width` covering every submask and no expansions cap, generation
-//! degenerates to the dense engine's full descending-submask walk, the
-//! selection keeps everything, and the evaluation loop runs Figure 3's
-//! exhaustive argmin top down — values, memo entry sets, and peel and
-//! view-matching counts are **bit-identical** to the dense engine that
-//! [`crate::DpStrategy::Auto`] runs up to `n = 20` (the property
-//! `tests/beam.rs` pins). Shrinking `width` only removes candidates, so
-//! error is monotone in the knob.
+//! When `width` covers every submask of the set being expanded
+//! ([`BeamConfig::exhaustive_for`]), generation yields every submask in
+//! the dense engine's descending order; selection would keep them all, so
+//! each is evaluated as soon as it is scored, and the walk runs Figure
+//! 3's exhaustive argmin top down without holding a candidate list. With no
+//! expansions cap either ([`BeamConfig::UNBOUNDED`]) that holds for every
+//! set, so values, memo entry sets, and peel and view-matching counts are
+//! **bit-identical** to the dense engine that [`crate::DpStrategy::Auto`]
+//! runs up to `n = 20` — the property `tests/beam.rs` pins on the same
+//! walk the bounded beam runs. Shrinking `width` only removes candidates,
+//! so error is monotone in the knob.
 //!
 //! ## Cooperative degradation
 //!
-//! The engine charges the shared [`crate::BudgetMeter`] one unit per
-//! expanded set plus one per freshly computed link, polls the deadline at
+//! The engine charges its [`crate::BudgetMeter`] one unit per expanded
+//! set plus one per freshly computed link, polls the deadline at
 //! the same amortized stride as the exact walk, and aborts with the
 //! sticky trip reason — so a beam rung degrades down the quality ladder
 //! exactly like the exact rungs do. [`BeamConfig::expansions_cap`] bounds

@@ -3,18 +3,19 @@
 //!
 //! The worst case of `getSelectivity` is `O(3ⁿ)`; a production service
 //! cannot let one n=16 dense fill stall a snapshot. A [`Budget`] describes
-//! the caller's limits; the estimator materializes it into a
-//! [`BudgetMeter`] — a shared, thread-safe meter that every DP loop
-//! charges as it works. When the meter trips, in-flight work unwinds with
-//! an [`ExhaustReason`] and the degradation ladder (see `ladder`) retries
-//! on a cheaper rung instead of returning an error.
+//! the caller's limits; the ladder (see `ladder`) slices it into one
+//! [`BudgetMeter`] per rung and hands that meter to the rung's estimator,
+//! which owns it and charges it as its DP loops work. When the meter
+//! trips, in-flight work unwinds with an [`ExhaustReason`] and the ladder
+//! retries on a cheaper rung instead of returning an error. The units a
+//! meter counted come back as [`crate::EstimatorStats::work`].
 //!
 //! Cost model: one work unit per lattice mask solved plus one per freshly
 //! computed peel link. Quota checks are exact (every charge compares
 //! against the cap), but wall-clock and cancellation polls are amortized —
 //! `Instant::now()` and the cancel-flag load happen only when the spent
-//! counter crosses a [`POLL_EVERY`] boundary, so the no-deadline and
-//! in-budget paths stay a couple of relaxed atomics per mask.
+//! counter crosses a [`POLL_EVERY`] boundary, so the in-budget path stays
+//! an add and a compare per mask.
 //!
 //! The mask count is known before a dense fill starts
 //! ([`crate::SelectivityEstimator::dense_work`] counts it exactly), and it
@@ -25,10 +26,13 @@
 //!
 //! Trip state is sticky and first-reason-wins: once tripped, every
 //! subsequent [`BudgetMeter::charge`]/[`BudgetMeter::check`] returns the
-//! same reason, so every holder of the shared meter observes one coherent
-//! verdict.
+//! same reason, so every loop of the walk unwinds with one verdict.
+//!
+//! A meter lives on the one thread that runs its estimator. The only
+//! handle shared across threads is the [`CancelToken`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -164,14 +168,14 @@ pub enum Quality {
     Independence,
     /// Greedy view matching (single chain, no DP).
     Greedy,
-    /// §3.4 SIT-driven-pruned DP.
+    /// §3.4 SIT-driven-pruned DP. No ladder rung produces it; the variant
+    /// stays while the benchmark (`perfbench`) still names it.
     Pruned,
     /// Beam-search approximate DP (see [`crate::beam`]): a bounded
-    /// frontier of decompositions instead of the full lattice. Better than
-    /// `Pruned` (it scores and ranks every generated candidate, pruning
-    /// only by measured bound) but below `Full` (wide-width exactness is
-    /// not guaranteed at service widths) — and the *only* tier reachable
-    /// for queries wider than the exact engines' n = 20 cliff.
+    /// frontier of decompositions instead of the full lattice. Below
+    /// `Full` (wide-width exactness is not guaranteed at service widths)
+    /// — and the *only* DP tier reachable for queries wider than the
+    /// exact engine's n = 20 cliff.
     Beam,
     /// The full dynamic program — identical to an unbudgeted run.
     Full,
@@ -200,106 +204,53 @@ impl Quality {
     ];
 }
 
-/// Sticky trip encoding: 0 = not tripped, else `ExhaustReason` + 1.
-const TRIP_NONE: u8 = 0;
-
-fn encode(r: ExhaustReason) -> u8 {
-    match r {
-        ExhaustReason::Deadline => 1,
-        ExhaustReason::WorkQuota => 2,
-        ExhaustReason::Cancelled => 3,
-    }
-}
-
-fn decode(v: u8) -> Option<ExhaustReason> {
-    match v {
-        1 => Some(ExhaustReason::Deadline),
-        2 => Some(ExhaustReason::WorkQuota),
-        3 => Some(ExhaustReason::Cancelled),
-        _ => None,
-    }
-}
-
-/// The materialized, shareable form of a [`Budget`]: absolute deadline,
-/// atomic spend counter, sticky trip flag. One meter governs one ladder
-/// rung; the estimator charging it and the caller reading it share it
-/// through an `Arc`.
+/// The materialized form of a [`Budget`] for one ladder rung: absolute
+/// deadline, work cap, cancellation flag, the units charged so far and
+/// the sticky trip reason. Owned by the estimator that charges it (see
+/// [`crate::SelectivityEstimator::with_budget_meter`]).
 #[derive(Debug)]
 pub struct BudgetMeter {
     deadline: Option<Instant>,
     cap: Option<u64>,
     cancel: Option<CancelToken>,
-    spent: AtomicU64,
-    tripped: AtomicU8,
-    /// Precomputed fast-path discriminant: false means `charge` is a
-    /// no-op beyond the inlined branch.
-    limited: bool,
+    spent: Cell<u64>,
+    tripped: Cell<Option<ExhaustReason>>,
 }
 
 impl BudgetMeter {
-    /// A meter with no limits; `charge` short-circuits to `Ok(())`.
-    pub fn unlimited() -> Self {
-        Self::from_parts(None, None, None)
-    }
-
-    /// Builds a meter from absolute limits. The ladder uses this to slice
-    /// one caller [`Budget`] into per-rung meters.
-    pub fn from_parts(
-        deadline: Option<Instant>,
-        cap: Option<u64>,
-        cancel: Option<CancelToken>,
-    ) -> Self {
-        let limited = deadline.is_some() || cap.is_some() || cancel.is_some();
+    /// A meter with an absolute `deadline`, a work `cap` and a `cancel`
+    /// flag, each optional. The ladder slices one caller [`Budget`] into
+    /// one meter per rung.
+    pub fn new(deadline: Option<Instant>, cap: Option<u64>, cancel: Option<CancelToken>) -> Self {
         BudgetMeter {
             deadline,
             cap,
             cancel,
-            spent: AtomicU64::new(0),
-            tripped: AtomicU8::new(TRIP_NONE),
-            limited,
+            spent: Cell::new(0),
+            tripped: Cell::new(None),
         }
-    }
-
-    /// Materializes a caller budget as a single meter starting now.
-    pub fn start(budget: &Budget) -> Self {
-        Self::from_parts(
-            budget.deadline.map(|d| Instant::now() + d),
-            budget.quota,
-            budget.cancel.clone(),
-        )
     }
 
     /// Work units charged so far.
     pub fn spent(&self) -> u64 {
-        self.spent.load(Ordering::Relaxed)
+        self.spent.get()
     }
 
     /// The sticky trip reason, if any.
     pub fn tripped(&self) -> Option<ExhaustReason> {
-        decode(self.tripped.load(Ordering::Relaxed))
+        self.tripped.get()
     }
 
     /// Charges `units` of work. Exact against the quota; deadline and
     /// cancellation are polled only when the counter crosses a
     /// [`POLL_EVERY`] boundary. Returns the sticky reason once tripped.
-    #[inline]
     pub fn charge(&self, units: u64) -> Result<(), ExhaustReason> {
-        if !self.limited {
-            return Ok(());
-        }
-        self.charge_slow(units)
-    }
-
-    fn charge_slow(&self, units: u64) -> Result<(), ExhaustReason> {
-        if let Some(r) = self.tripped() {
-            return Err(r);
-        }
-        let before = self.spent.fetch_add(units, Ordering::Relaxed);
+        self.check()?;
+        let before = self.spent.get();
         let after = before.saturating_add(units);
-        if let Some(cap) = self.cap {
-            if after > cap {
-                return Err(self.trip(ExhaustReason::WorkQuota));
-            }
+        self.spent.set(after);
+        if self.cap.is_some_and(|cap| after > cap) {
+            return Err(self.trip(ExhaustReason::WorkQuota));
         }
         if before / POLL_EVERY != after / POLL_EVERY {
             self.poll()?;
@@ -319,40 +270,25 @@ impl BudgetMeter {
     /// Polls deadline and cancellation *now*, skipping the amortization.
     /// Used at rung boundaries and before committing to expensive steps.
     pub fn force_poll(&self) -> Result<(), ExhaustReason> {
-        if !self.limited {
-            return Ok(());
-        }
-        if let Some(r) = self.tripped() {
-            return Err(r);
-        }
+        self.check()?;
         self.poll()
     }
 
     fn poll(&self) -> Result<(), ExhaustReason> {
-        if let Some(tok) = &self.cancel {
-            if tok.is_cancelled() {
-                return Err(self.trip(ExhaustReason::Cancelled));
-            }
+        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            return Err(self.trip(ExhaustReason::Cancelled));
         }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return Err(self.trip(ExhaustReason::Deadline));
-            }
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(self.trip(ExhaustReason::Deadline));
         }
         Ok(())
     }
 
-    /// Records the trip; first reason wins under races and is returned.
+    /// Records the trip. Called only while untripped, so the first reason
+    /// is the one kept.
     fn trip(&self, reason: ExhaustReason) -> ExhaustReason {
-        match self.tripped.compare_exchange(
-            TRIP_NONE,
-            encode(reason),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => reason,
-            Err(prev) => decode(prev).unwrap_or(reason),
-        }
+        self.tripped.set(Some(reason));
+        reason
     }
 }
 
@@ -361,21 +297,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unlimited_meter_never_trips() {
-        let m = BudgetMeter::unlimited();
+    fn a_meter_without_limits_counts_and_never_trips() {
+        let m = BudgetMeter::new(None, None, None);
         for _ in 0..10_000 {
             m.charge(7).unwrap();
         }
         assert_eq!(m.tripped(), None);
         assert!(m.check().is_ok());
         assert!(m.force_poll().is_ok());
-        // The fast path skips accounting entirely.
-        assert_eq!(m.spent(), 0);
+        assert_eq!(m.spent(), 70_000);
     }
 
     #[test]
     fn quota_is_exact_and_sticky() {
-        let m = BudgetMeter::from_parts(None, Some(10), None);
+        let m = BudgetMeter::new(None, Some(10), None);
         for _ in 0..10 {
             m.charge(1).unwrap();
         }
@@ -388,12 +323,12 @@ mod tests {
     #[test]
     fn expired_deadline_trips_on_force_poll_and_poll_boundary() {
         let past = Instant::now() - Duration::from_millis(5);
-        let m = BudgetMeter::from_parts(Some(past), None, None);
+        let m = BudgetMeter::new(Some(past), None, None);
         // Small charges inside one poll window do not observe the clock.
         m.charge(1).unwrap();
         assert_eq!(m.force_poll(), Err(ExhaustReason::Deadline));
 
-        let m = BudgetMeter::from_parts(Some(past), None, None);
+        let m = BudgetMeter::new(Some(past), None, None);
         // Crossing the poll boundary observes it.
         assert_eq!(m.charge(POLL_EVERY + 1), Err(ExhaustReason::Deadline));
     }
@@ -401,7 +336,7 @@ mod tests {
     #[test]
     fn cancel_token_trips_cooperatively() {
         let tok = CancelToken::new();
-        let m = BudgetMeter::from_parts(None, None, Some(tok.clone()));
+        let m = BudgetMeter::new(None, None, Some(tok.clone()));
         m.charge(POLL_EVERY * 2).unwrap();
         tok.cancel();
         assert!(tok.is_cancelled());
@@ -414,7 +349,7 @@ mod tests {
     #[test]
     fn first_trip_reason_wins() {
         let tok = CancelToken::new();
-        let m = BudgetMeter::from_parts(None, Some(5), Some(tok.clone()));
+        let m = BudgetMeter::new(None, Some(5), Some(tok.clone()));
         assert_eq!(m.charge(100), Err(ExhaustReason::WorkQuota));
         tok.cancel();
         // Still the original reason: trips are sticky.
@@ -444,7 +379,5 @@ mod tests {
             .with_quota(10)
             .with_cancel(CancelToken::new());
         assert!(!b.is_unlimited());
-        let m = BudgetMeter::start(&b);
-        assert!(m.limited);
     }
 }

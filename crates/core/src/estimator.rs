@@ -133,6 +133,9 @@ pub struct EstimatorStats {
     /// tripped walks included — the unit of the ladder's per-rung cost
     /// rates (see [`DenseWork`]). Zero on the beam engine.
     pub submasks: u64,
+    /// Work units charged to the attached [`BudgetMeter`], tripped walks
+    /// included (see [`crate::budget`]); zero without a meter.
+    pub work: u64,
 }
 
 /// The exact work a dense fill does before it answers, counted on the
@@ -250,7 +253,7 @@ pub struct SelectivityEstimator<'a> {
     /// — one unit per lattice mask solved plus one per freshly computed
     /// peel — and unwind with [`ExhaustReason`] once it trips. `None`
     /// leaves every path bit-identical to the unbudgeted estimator.
-    meter: Option<Arc<BudgetMeter>>,
+    meter: Option<BudgetMeter>,
     /// The atomic-estimate backend consulted at the top of every peel (see
     /// [`crate::backend`]). The default [`DiffBackend`] intercepts nothing,
     /// leaving every path bit-identical to the pre-trait estimator.
@@ -351,13 +354,15 @@ impl<'a> SelectivityEstimator<'a> {
         self.prune_table = None;
     }
 
-    /// Attaches a shared [`BudgetMeter`]. Estimation then runs under that
-    /// meter's deadline / work-quota / cancellation limits: use
-    /// [`Self::try_get_selectivity`], which returns [`ExhaustReason`] when
-    /// the meter trips mid-fill (the infallible [`Self::get_selectivity`]
-    /// panics in that case). Charging is amortized: the deadline clock is
-    /// consulted roughly once per thousand work units, never per mask.
-    pub fn with_budget_meter(mut self, meter: Arc<BudgetMeter>) -> Self {
+    /// Attaches a [`BudgetMeter`], which the estimator then owns.
+    /// Estimation runs under that meter's deadline / work-quota /
+    /// cancellation limits: use [`Self::try_get_selectivity`], which
+    /// returns [`ExhaustReason`] when the meter trips mid-fill (the
+    /// infallible [`Self::get_selectivity`] panics in that case). Charging
+    /// is amortized: the deadline clock is consulted roughly once per
+    /// thousand work units, never per mask. The units charged so far are
+    /// [`EstimatorStats::work`].
+    pub fn with_budget_meter(mut self, meter: BudgetMeter) -> Self {
         self.meter = Some(meter);
         self
     }
@@ -467,6 +472,7 @@ impl<'a> SelectivityEstimator<'a> {
             peel_entries: self.peel_memo.len(),
             histogram_time: self.links.hist_time,
             submasks: self.submasks,
+            work: self.meter.as_ref().map_or(0, BudgetMeter::spent),
         }
     }
 
@@ -630,7 +636,7 @@ impl<'a> SelectivityEstimator<'a> {
     /// subsets already filled.
     fn solve_mask(&mut self, m: PredSet) -> Result<(f64, f64), ExhaustReason> {
         crate::failpoint::fire("dp::solve_mask");
-        if let Some(meter) = self.meter.as_deref() {
+        if let Some(meter) = &self.meter {
             meter.charge(1)?;
         }
         if self.first_comp(m) == m {
@@ -656,7 +662,7 @@ impl<'a> SelectivityEstimator<'a> {
     /// Lines 9-17 for a non-separable mask on the dense engine: every
     /// atomic decomposition `Sel(P′|Q)·Sel(Q)`, with `Sel(Q)` read straight
     /// from the flat table. Same descending-submask order and strict-`<`
-    /// tie-break as the beam's exhaustive walk — bit-identical by
+    /// tie-break as the beam's walk at unbounded width — bit-identical by
     /// construction. A budget trip, polled every [`POLL_STRIDE`]
     /// iterations, aborts the walk before `m` is committed.
     fn solve_nonseparable(&mut self, m: PredSet) -> Result<(f64, f64), ExhaustReason> {
@@ -666,16 +672,16 @@ impl<'a> SelectivityEstimator<'a> {
         let peel_memo = &mut self.peel_memo;
         let links = &mut self.links;
         let oracle = &mut self.oracle;
-        let meter = self.meter.as_deref();
+        let meter = self.meter.as_ref();
         let walked = &mut self.submasks;
-        let mut poll = abort_poll(meter);
+        let mut polls = 0u32;
         let mut best_err = f64::INFINITY;
         let mut best_sel = DEFAULT_RANGE_SEL.powi(m.len() as i32);
         let mut iters = 0u32;
         for p_prime in m.subsets() {
             iters = iters.wrapping_add(1);
             if iters.is_multiple_of(POLL_STRIDE) {
-                if let Err(e) = poll() {
+                if let Err(e) = abort_poll(meter, &mut polls) {
                     *walked += u64::from(iters);
                     return Err(e);
                 }
@@ -760,12 +766,12 @@ impl<'a> SelectivityEstimator<'a> {
     /// The beam-search approximate engine (see [`crate::beam`]): the
     /// paper's top-down recursion on open-addressed memos, where each
     /// non-separable set expands a bounded candidate frontier instead of
-    /// every submask. At [`BeamConfig::UNBOUNDED`] every expansion is
-    /// [`Self::beam_exhaustive`] — values, memo entry sets, and peel
-    /// counts bit-identical to the dense engine.
+    /// every submask. At [`BeamConfig::UNBOUNDED`] every expansion keeps
+    /// every submask — values, memo entry sets, and peel counts
+    /// bit-identical to the dense engine.
     fn compute_beam(&mut self, p: PredSet) -> Result<(f64, f64), ExhaustReason> {
         crate::failpoint::fire("dp::solve_mask");
-        if let Some(meter) = self.meter.as_deref() {
+        if let Some(meter) = &self.meter {
             meter.charge(1)?;
         }
         let first = self.ctx.first_component(p);
@@ -798,119 +804,101 @@ impl<'a> SelectivityEstimator<'a> {
     /// family, score each candidate's conditional factor (the admissible
     /// lower bound), keep the fallback plus the `width` best, and only
     /// evaluate — i.e. recurse into `Sel(Q)` — the survivors, in the exact
-    /// engines' descending-submask order with the same strict-`<`
-    /// tie-break.
+    /// engine's descending-submask order with the same strict-`<`
+    /// tie-break. At a width that keeps every submask of `m`
+    /// ([`BeamConfig::exhaustive_for`]) the family is every submask and
+    /// selection would keep them all, so each candidate is evaluated as
+    /// soon as it is scored and the walk holds no candidate list: Figure
+    /// 3's exhaustive argmin, so the beam at [`BeamConfig::UNBOUNDED`] is
+    /// bit-identical to the dense engine (values, memo entries, peel and
+    /// view-matching counts).
     fn beam_nonseparable(&mut self, m: PredSet) -> Result<(f64, f64), ExhaustReason> {
         let cfg = self.beam_cfg;
         let capped = self.beam_stats.expansions >= cfg.expansions_cap;
         self.beam_stats.expansions += 1;
-        if cfg.exhaustive_for(m.len()) && !capped {
-            return self.beam_exhaustive(m);
-        }
+        let exhaustive = !capped && cfg.exhaustive_for(m.len());
 
-        let meter_arc = self.meter.clone();
-        let mut poll = abort_poll(meter_arc.as_deref());
+        let mut polls = 0u32;
         // Phase 1: generate. Past the expansions cap the set closes with
         // the always-valid `P′ = m` fallback alone (no recursion: its
         // conditioning set is empty), which bounds total work per query.
+        // An exhaustive family is `m.subsets()` itself, walked lazily.
         let mut cands = Vec::new();
         if capped {
             self.beam_stats.cap_fallbacks += 1;
             cands.push(m.0);
-        } else {
+        } else if !exhaustive {
             if self.beam_guidance.is_none() {
                 self.beam_guidance = Some(self.sit_guidance_masks());
             }
             let guidance = self.beam_guidance.as_deref().unwrap_or(&[]);
             crate::beam::generate_candidates(m.0, guidance, &mut cands);
         }
-        self.beam_stats.generated += cands.len() as u64;
+        let family = exhaustive
+            .then(|| m.subsets())
+            .into_iter()
+            .flatten()
+            .chain(cands.iter().map(|&mask| PredSet(mask)));
 
-        // Phase 2: score — the factor error is the admissible bound. The
-        // §3.4 keep test runs *before* scoring so pruned candidates cost
-        // nothing, exactly as in the exact walks.
-        let mut scored: Vec<Scored> = Vec::with_capacity(cands.len());
-        let mut iters = 0u32;
-        for &mask in &cands {
-            iters = iters.wrapping_add(1);
-            if iters.is_multiple_of(POLL_STRIDE) {
-                poll()?;
-            }
-            let p_prime = PredSet(mask);
-            let q = m.minus(p_prime);
-            if !keep_decomposition(self.sit_driven.as_deref(), m, p_prime) {
-                continue;
-            }
-            let (sel_f, err_f) = self.factor(p_prime, q);
-            scored.push(Scored { mask, sel_f, err_f });
-        }
-        self.beam_stats.scored += scored.len() as u64;
-
-        // Phase 3: select the frontier.
-        let (mut order, mut keep) = (Vec::new(), Vec::new());
-        self.beam_stats.pruned +=
-            crate::beam::select_width(&scored, cfg.width, &mut order, &mut keep);
-
-        // Phase 4: evaluate survivors — recursion happens only here.
         let mut best_err = f64::INFINITY;
         let mut best_sel = DEFAULT_RANGE_SEL.powi(m.len() as i32);
         let mut best_bound = f64::INFINITY;
-        for (idx, s) in scored.iter().enumerate() {
-            if !keep[idx] {
-                continue;
-            }
-            poll()?;
-            let q = m.minus(PredSet(s.mask));
-            let (sel_q, err_q) = self.try_get_selectivity(q)?;
+        let mut offer = |s: &Scored, (sel_q, err_q): (f64, f64)| {
             let total = s.err_f + err_q;
             if total < best_err {
                 best_err = total;
                 best_sel = (s.sel_f * sel_q).clamp(0.0, 1.0);
                 best_bound = s.err_f;
             }
-        }
-        self.record_tightness(best_bound, best_err);
-        Ok((best_sel, best_err))
-    }
+        };
 
-    /// The unbounded-width expansion: lines 9-17 of Figure 3, top-down —
-    /// every submask in the dense walk's descending order, recursing into
-    /// each `Sel(Q)` before evaluating its factor, with the same §3.4
-    /// keep test and strict-`<` tie-break — so the beam engine at
-    /// [`BeamConfig::UNBOUNDED`] is bit-identical to the dense engine
-    /// (values, memo entries, peel and view-matching counts); only the
-    /// stats counters differ.
-    fn beam_exhaustive(&mut self, m: PredSet) -> Result<(f64, f64), ExhaustReason> {
-        let meter_arc = self.meter.clone();
-        let mut poll = abort_poll(meter_arc.as_deref());
-        let mut best_err = f64::INFINITY;
-        let mut best_sel = DEFAULT_RANGE_SEL.powi(m.len() as i32);
-        let mut best_bound = f64::INFINITY;
+        // Phase 2: score — the factor error is the admissible bound. The
+        // §3.4 keep test runs *before* scoring so pruned candidates cost
+        // nothing, exactly as in the exact walks. An exhaustive family
+        // recurses here, candidate by candidate.
+        let mut scored: Vec<Scored> = Vec::with_capacity(cands.len());
+        let (mut generated, mut kept) = (0u64, 0u64);
         let mut iters = 0u32;
-        let mut generated = 0u64;
-        let mut scored = 0u64;
-        for p_prime in m.subsets() {
+        for p_prime in family {
             generated += 1;
             iters = iters.wrapping_add(1);
             if iters.is_multiple_of(POLL_STRIDE) {
-                poll()?;
+                abort_poll(self.meter.as_ref(), &mut polls)?;
             }
             let q = m.minus(p_prime);
             if !keep_decomposition(self.sit_driven.as_deref(), m, p_prime) {
                 continue;
             }
-            let (sel_q, err_q) = self.try_get_selectivity(q)?;
             let (sel_f, err_f) = self.factor(p_prime, q);
-            scored += 1;
-            let total = err_f + err_q;
-            if total < best_err {
-                best_err = total;
-                best_sel = (sel_f * sel_q).clamp(0.0, 1.0);
-                best_bound = err_f;
+            let s = Scored {
+                mask: p_prime.0,
+                sel_f,
+                err_f,
+            };
+            kept += 1;
+            if exhaustive {
+                offer(&s, self.try_get_selectivity(q)?);
+            } else {
+                scored.push(s);
             }
         }
         self.beam_stats.generated += generated;
-        self.beam_stats.scored += scored;
+        self.beam_stats.scored += kept;
+
+        // Phase 3: select the frontier.
+        let (mut order, mut keep) = (Vec::new(), Vec::new());
+        self.beam_stats.pruned +=
+            crate::beam::select_width(&scored, cfg.width, &mut order, &mut keep);
+
+        // Phase 4: evaluate a bounded family's survivors.
+        for (idx, s) in scored.iter().enumerate() {
+            if !keep[idx] {
+                continue;
+            }
+            abort_poll(self.meter.as_ref(), &mut polls)?;
+            let q = m.minus(PredSet(s.mask));
+            offer(s, self.try_get_selectivity(q)?);
+        }
         self.record_tightness(best_bound, best_err);
         Ok((best_sel, best_err))
     }
@@ -1034,7 +1022,7 @@ impl<'a> SelectivityEstimator<'a> {
         let lc = link_ctx!(self);
         let result = crate::link::compute_peel(&lc, &mut self.links, &mut self.oracle, i, cset);
         self.peel_memo.insert(key, result);
-        if let Some(meter) = self.meter.as_deref() {
+        if let Some(meter) = &self.meter {
             // Sticky: enclosing subset walks observe the trip at their
             // next poll; the computed value itself is exact.
             let _ = meter.charge(1);
@@ -1075,24 +1063,21 @@ fn keep_decomposition(masks: Option<&[(u32, u32)]>, m: PredSet, p_prime: PredSet
 }
 
 /// Subset-walk iterations between budget polls inside the non-separable
-/// loops of every engine. Together with [`abort_poll`]'s internal
-/// 1-in-16 clock stride, a deadline is observed about once per thousand
-/// submask iterations — low overhead, bounded overshoot.
+/// loops of every engine. Together with [`abort_poll`]'s 1-in-16 clock
+/// stride, a deadline is observed about once per thousand submask
+/// iterations — low overhead, bounded overshoot.
 const POLL_STRIDE: u32 = 64;
 
-/// Amortized abort check for subset walks: a relaxed sticky-trip load on
-/// most calls, a real deadline/cancellation poll every 16th. With no meter
-/// attached it compiles down to `Ok(())`.
-fn abort_poll(meter: Option<&BudgetMeter>) -> impl FnMut() -> Result<(), ExhaustReason> + '_ {
-    let mut calls = 0u32;
-    move || {
-        let Some(m) = meter else { return Ok(()) };
-        calls = calls.wrapping_add(1);
-        if calls.is_multiple_of(16) {
-            m.force_poll()
-        } else {
-            m.check()
-        }
+/// Amortized abort check for subset walks: the sticky-trip check on most
+/// calls, a real deadline/cancellation poll on every 16th call of one
+/// walk, counted in `calls`. With no meter attached it is `Ok(())`.
+fn abort_poll(meter: Option<&BudgetMeter>, calls: &mut u32) -> Result<(), ExhaustReason> {
+    let Some(m) = meter else { return Ok(()) };
+    *calls = calls.wrapping_add(1);
+    if calls.is_multiple_of(16) {
+        m.force_poll()
+    } else {
+        m.check()
     }
 }
 
@@ -1718,21 +1703,20 @@ mod tests {
             // At most ten of the pool's predicates, chosen by `picks`.
             let preds = PredSet(picks).iter().take(10).map(|i| pool[i]).collect();
             let q = SpjQuery::new(vec![TableId(0), TableId(1), TableId(2)], preds).unwrap();
-            let meter = Arc::new(BudgetMeter::from_parts(None, Some(u64::MAX), None));
             let mut est = SelectivityEstimator::new(&db, &q, &cat, ErrorMode::Diff)
-                .with_budget_meter(meter.clone());
+                .with_budget_meter(BudgetMeter::new(None, None, None));
             if pruned {
                 est = est.with_sit_driven_pruning();
             }
             let all = est.context().all();
             est.get_selectivity(PredSet(first & all.0));
-            let before = (est.stats(), meter.spent());
+            let before = est.stats();
             let work = est.dense_work(all).expect("n ≤ 16 runs the dense engine");
             est.get_selectivity(all);
-            let after = (est.stats(), meter.spent());
-            let peels = (after.0.peel_entries - before.0.peel_entries) as u64;
-            proptest::prop_assert_eq!(work.masks, after.1 - before.1 - peels);
-            proptest::prop_assert_eq!(work.submasks, after.0.submasks - before.0.submasks);
+            let after = est.stats();
+            let peels = (after.peel_entries - before.peel_entries) as u64;
+            proptest::prop_assert_eq!(work.masks, after.work - before.work - peels);
+            proptest::prop_assert_eq!(work.submasks, after.submasks - before.submasks);
             // A second count finds nothing left to do.
             proptest::prop_assert_eq!(est.dense_work(all), Some(DenseWork::default()));
         }

@@ -3,18 +3,16 @@
 //!
 //! A [`Budget`] bounds how much an estimation request may spend; this
 //! module turns "the budget ran out" from an error into a *coarser
-//! answer*. The [`Ladder`] walks five rungs, best to worst:
+//! answer*. The [`Ladder`] walks four rungs, best to worst:
 //!
 //! 1. **Full** — the complete `getSelectivity` DP, identical bit-for-bit
 //!    to an unbudgeted run;
 //! 2. **Beam** — the [`crate::beam`] bounded-frontier approximate DP:
 //!    width-limited best-first decomposition search, far cheaper than the
 //!    full walk but carrying a real (approximate) error model;
-//! 3. **Pruned** — the DP restricted by §3.4 SIT-driven pruning (the
-//!    paper's own answer to "too many atomic decompositions");
-//! 4. **Greedy** — the [`crate::gvm`] greedy view-matching chain: one
+//! 3. **Greedy** — the [`crate::gvm`] greedy view-matching chain: one
 //!    pass, no subset enumeration;
-//! 5. **Independence** — [`crate::baseline::independence_selectivity`]:
+//! 4. **Independence** — [`crate::baseline::independence_selectivity`]:
 //!    an O(n) product of base-histogram estimates. This floor always
 //!    completes, so every request gets *some* answer with an honest
 //!    [`Quality`] label and the [`DegradeReason`] that pushed it down.
@@ -24,6 +22,9 @@
 //!    answer [`Quality::Bound`] — the rung below independence on the
 //!    honesty ladder, since the answer leans on a worst-case sketch.
 //!
+//! §3.4's SIT-driven pruning is a ladder-wide option:
+//! [`Ladder::with_sit_driven_pruning`] prunes every DP rung.
+//!
 //! ## Beam routing
 //!
 //! When the configured [`DpStrategy`] routes the query's width to the
@@ -31,23 +32,20 @@
 //! O(3ⁿ) cliff), `Beam` *is* the top rung: the ladder starts there with
 //! the full rung's budget slice, labels an undegraded success
 //! [`Quality::Beam`] with no degrade reason — honest "this is the best
-//! the routing allows" — and the pruned rung below runs the *pruned
-//! beam* engine. Exact-width queries instead get the beam as a middle
-//! rung between full and pruned.
+//! the routing allows" — and falls to greedy below it. Exact-width
+//! queries instead get the beam as the rung between full and greedy.
 //!
 //! ## Budget slicing
 //!
 //! One caller budget funds the whole ladder, so each DP rung gets a
 //! *slice*, not the whole thing — otherwise the full rung would eat the
-//! entire allowance and leave the pruned rung nothing. With quota `Q` and
-//! deadline `D` (measured from entry), and `R₁ = Q − ⌊Q/2⌋`,
-//! `R₂ = R₁ − ⌊R₁/2⌋`:
+//! entire allowance and leave the rungs below nothing. With quota `Q` and
+//! deadline `D` (measured from entry), and `R₁ = Q − ⌊Q/2⌋`:
 //!
 //! | rung  | work cap            | absolute deadline | skipped when (dense engine) |
 //! |-------|---------------------|-------------------|-----------------------------|
 //! | full *(or beam when routed)* | `⌊Q/2⌋` | `start + D/2` | masks > cap, or predicted end > deadline |
 //! | beam *(exact-width queries only)* | `⌊R₁/2⌋` (fresh) | `start + 5D/8` | never |
-//! | pruned| `⌊R₂/2⌋` (fresh; `⌊R₁/2⌋` when routed) | `start + 3D/4` | masks > cap, or predicted end > deadline |
 //! | greedy| none (fast)         | `start + D` (checked before) | deadline already passed |
 //! | independence | none         | none              | never |
 //!
@@ -60,14 +58,12 @@
 //!
 //! ## Skipping a rung that cannot finish
 //!
-//! Before a DP rung that runs the dense engine (under `Auto`, every exact
+//! Before the full rung runs the dense engine (under `Auto`, every exact
 //! width: `n ≤ 20`), the ladder takes the rung's exact work from the
 //! estimator it is about to run: [`SelectivityEstimator::dense_work`]
 //! counts the masks the fill solves and the submask iterations it walks,
 //! on the estimator's own component table, which the fill then reuses.
-//! The pruned rung walks the same submasks (pruning skips decompositions
-//! inside the walk, not iterations of it), so it reuses the full rung's
-//! count. The rung is skipped — reported through
+//! The rung is skipped — reported through
 //! [`MetricsSink::rung_skipped`] in place of
 //! [`MetricsSink::rung_attempted`] — in two cases:
 //!
@@ -80,19 +76,19 @@
 //!   (see [`RungCosts`]). The reason is [`DegradeReason::Deadline`].
 //!
 //! The slices keep their absolute deadlines, so a skipped full rung hands
-//! its whole share of the deadline to the beam rung. The rates are an
+//! its whole share of the deadline to the beam rung. The rate is an
 //! exponentially weighted mean (weight ¼ per run) over every dense run of
-//! that rung, finished or tripped, read from
-//! [`EstimatorStats::submasks`]. They live outside the ladder, in a
+//! the full rung, finished or tripped, read from
+//! [`EstimatorStats::submasks`]. It lives outside the ladder, in a
 //! [`RungCosts`] attached with [`Ladder::with_rung_costs`]; the service
 //! keeps one per catalog snapshot, beside the shared cache whose hits and
-//! misses they include. A rung with no rate yet — on a fresh snapshot,
-//! or in a ladder without [`RungCosts`] — is never skipped for its
+//! misses it includes. Without a rate yet — on a fresh snapshot, or in a
+//! ladder without [`RungCosts`] — the rung is never skipped for its
 //! deadline. A skipped rung teaches its rate nothing, so one predicted
-//! deadline skip in 32 (per rung and [`RungCosts`]) runs the rung anyway
-//! and refreshes it. The rule never extrapolates from a rung's own
-//! progress: the first masks of a fill are peel-heavy, so a projection
-//! from early progress reads several times too high.
+//! deadline skip in 32 (per [`RungCosts`]) runs the rung anyway and
+//! refreshes it. The rule never extrapolates from a rung's own progress:
+//! the first masks of a fill are peel-heavy, so a projection from early
+//! progress reads several times too high.
 //!
 //! Unlimited budgets and the beam engine never reach the rule.
 
@@ -121,9 +117,8 @@ pub struct BudgetedEstimate {
     /// The selectivity estimate for the full predicate set.
     pub selectivity: f64,
     /// The DP's error score for the chosen decomposition — present on the
-    /// [`Quality::Full`], [`Quality::Beam`], and [`Quality::Pruned`] rungs,
-    /// `None` below (the greedy and independence paths carry no error
-    /// model).
+    /// [`Quality::Full`] and [`Quality::Beam`] rungs, `None` below (the
+    /// greedy and independence paths carry no error model).
     pub error: Option<f64>,
     /// Which rung produced the answer.
     pub quality: Quality,
@@ -132,8 +127,9 @@ pub struct BudgetedEstimate {
     /// queries, `Beam` when the strategy routes the query to the beam
     /// engine (an undegraded beam answer is the best the routing allows).
     pub degraded_reason: Option<DegradeReason>,
-    /// Work units spent across the DP rungs (0 for an unlimited run —
-    /// the fast path skips accounting entirely).
+    /// Work units spent across the DP rungs: the sum of their
+    /// [`EstimatorStats::work`] (0 for an unlimited run, which attaches no
+    /// meter).
     pub work: u64,
     /// Instrumentation from the rung that produced the answer (zeroed for
     /// the independence floor, which runs no estimator).
@@ -167,25 +163,27 @@ impl DpAnswer {
     }
 }
 
-/// Predicted deadline skips of one rung between two runs of it that
+/// Predicted deadline skips of the full rung between two runs of it that
 /// refresh its rate (see [`RungCosts`]).
 const REPROBE_EVERY: u64 = 32;
 
-/// Weight of a new sample in a rung's rate.
+/// Weight of a new sample in the full rung's rate.
 const RATE_WEIGHT: f64 = 0.25;
 
-/// What the full and pruned dense rungs cost per submask iteration, as
-/// learned from their runs: the rates behind the ladder's skip rule (see
+/// What the full rung's dense fill costs per submask iteration, as
+/// learned from its runs: the rate behind the ladder's skip rule (see
 /// the module docs). Owned by whatever shares a cache and a catalog among
 /// requests — the service keeps one per catalog snapshot, because the
 /// snapshot's shared cache makes up part of the cost — and handed to
 /// [`Ladder::with_rung_costs`]. Share one only among ladders with one
 /// configuration. All state is relaxed atomics: two racing updates may
-/// lose one sample, never tear a rate.
+/// lose one sample, never tear the rate.
 #[derive(Debug, Default)]
 pub struct RungCosts {
-    full: RungRate,
-    pruned: RungRate,
+    /// Exponentially weighted mean of ns per submask iteration, as `f64`
+    /// bits; 0 until the full rung has run.
+    ns_per_submask: AtomicU64,
+    predicted_skips: AtomicU64,
 }
 
 impl RungCosts {
@@ -193,33 +191,9 @@ impl RungCosts {
         Self::default()
     }
 
-    /// The learned rate of the full or pruned rung, in nanoseconds per
-    /// submask iteration; `None` before the rung has run, and for the
-    /// other rungs.
-    pub fn ns_per_submask(&self, rung: Quality) -> Option<f64> {
-        self.rate(rung).and_then(RungRate::get)
-    }
-
-    fn rate(&self, rung: Quality) -> Option<&RungRate> {
-        match rung {
-            Quality::Full => Some(&self.full),
-            Quality::Pruned => Some(&self.pruned),
-            _ => None,
-        }
-    }
-}
-
-/// One rung's learned rate and its count of predicted deadline skips.
-#[derive(Debug, Default)]
-struct RungRate {
-    /// Exponentially weighted mean of ns per submask iteration, as `f64`
-    /// bits; 0 until the rung has run.
-    ns_per_submask: AtomicU64,
-    predicted_skips: AtomicU64,
-}
-
-impl RungRate {
-    fn get(&self) -> Option<f64> {
+    /// The full rung's learned rate, in nanoseconds per submask
+    /// iteration; `None` before the rung has run.
+    pub fn ns_per_submask(&self) -> Option<f64> {
         let rate = f64::from_bits(self.ns_per_submask.load(Ordering::Relaxed));
         (rate > 0.0).then_some(rate)
     }
@@ -232,7 +206,7 @@ impl RungRate {
         }
         let sample = elapsed.as_nanos() as f64 / submasks as f64;
         let rate = self
-            .get()
+            .ns_per_submask()
             .map_or(sample, |r| r + RATE_WEIGHT * (sample - r));
         self.ns_per_submask.store(rate.to_bits(), Ordering::Relaxed);
     }
@@ -316,9 +290,8 @@ impl<'a> Ladder<'a> {
         self
     }
 
-    /// Enables §3.4 pruning on the *full* rung too (the pruned rung always
-    /// prunes). With this set the first two rungs share a configuration
-    /// and differ only in their budget slice.
+    /// Enables §3.4 SIT-driven pruning on every DP rung (see
+    /// [`SelectivityEstimator::with_sit_driven_pruning`]).
     pub fn with_sit_driven_pruning(mut self) -> Self {
         self.pruning = true;
         self
@@ -330,9 +303,9 @@ impl<'a> Ladder<'a> {
         self
     }
 
-    /// Learned rung rates: under a deadline, a dense rung predicted to
-    /// overrun its slice is skipped (see the module docs). Without them
-    /// every rung runs whenever its quota allows.
+    /// The full rung's learned rate: under a deadline, a dense full rung
+    /// predicted to overrun its slice is skipped (see the module docs).
+    /// Without it every rung runs whenever its quota allows.
     pub fn with_rung_costs(mut self, costs: &'a RungCosts) -> Self {
         self.costs = Some(costs);
         self
@@ -348,16 +321,7 @@ impl<'a> Ladder<'a> {
         self
     }
 
-    fn build_estimator(&self, query: &SpjQuery, pruned: bool) -> SelectivityEstimator<'a> {
-        self.build_estimator_as(query, pruned, self.strategy)
-    }
-
-    fn build_estimator_as(
-        &self,
-        query: &SpjQuery,
-        pruned: bool,
-        strategy: DpStrategy,
-    ) -> SelectivityEstimator<'a> {
+    fn build_estimator(&self, query: &SpjQuery, strategy: DpStrategy) -> SelectivityEstimator<'a> {
         let mut est = SelectivityEstimator::new(self.db, query, self.catalog, self.mode)
             .with_strategy(strategy)
             .with_beam_config(self.beam);
@@ -377,7 +341,7 @@ impl<'a> Ladder<'a> {
                 est = est.with_shared_cache(c);
             }
         }
-        if pruned || self.pruning {
+        if self.pruning {
             est = est.with_sit_driven_pruning();
         }
         est.with_backend(self.backend.clone())
@@ -430,7 +394,7 @@ impl<'a> Ladder<'a> {
     /// adding the work it charged to `work`. `dense` is the rung's exact
     /// work when it runs the dense engine: the rung is then skipped if it
     /// cannot finish in its slice, and with [`RungCosts`] attached a run
-    /// that finishes or trips teaches the rung's rate. `Err` carries the
+    /// that finishes or trips teaches the learned rate. `Err` carries the
     /// trip or skip reason.
     fn dp_rung(
         &self,
@@ -441,22 +405,21 @@ impl<'a> Ladder<'a> {
         cancel: &Option<CancelToken>,
         work: &mut u64,
     ) -> Result<DpAnswer, DegradeReason> {
-        let rate = dense.and(self.costs).and_then(|c| c.rate(rung));
+        let costs = dense.and(self.costs);
         let start = Instant::now();
         if let Some(d) = dense {
-            if let Some(reason) = self.skip_reason(rung, d, rate, start, deadline, cap) {
+            if let Some(reason) = self.skip_reason(rung, d, costs, start, deadline, cap) {
                 return Err(reason);
             }
         }
         self.metrics.rung_attempted(rung);
-        let meter = Arc::new(BudgetMeter::from_parts(deadline, cap, cancel.clone()));
-        let mut est = est.with_budget_meter(meter.clone());
+        let mut est = est.with_budget_meter(BudgetMeter::new(deadline, cap, cancel.clone()));
         let all = est.context().all();
         let result = est.try_get_selectivity(all);
-        *work += meter.spent();
         let stats = est.stats();
-        if let Some(rate) = rate {
-            rate.learn(start.elapsed(), stats.submasks);
+        *work += stats.work;
+        if let Some(costs) = costs {
+            costs.learn(start.elapsed(), stats.submasks);
         }
         let (selectivity, error) = result?;
         Ok(DpAnswer {
@@ -478,13 +441,13 @@ impl<'a> Ladder<'a> {
         &self,
         rung: Quality,
         d: DenseWork,
-        rate: Option<&RungRate>,
+        costs: Option<&RungCosts>,
         now: Instant,
         deadline: Option<Instant>,
         cap: Option<u64>,
     ) -> Option<DegradeReason> {
-        let predicted_ns = rate
-            .and_then(RungRate::get)
+        let predicted_ns = costs
+            .and_then(RungCosts::ns_per_submask)
             .map_or(0, |r| (d.submasks as f64 * r) as u64);
         let overruns = |deadline: Instant| {
             now.checked_add(Duration::from_nanos(predicted_ns))
@@ -494,7 +457,7 @@ impl<'a> Ladder<'a> {
             DegradeReason::WorkQuota
         } else if predicted_ns > 0
             && deadline.is_some_and(overruns)
-            && !rate.is_some_and(RungRate::reprobe)
+            && !costs.is_some_and(RungCosts::reprobe)
         {
             DegradeReason::Deadline
         } else {
@@ -510,7 +473,7 @@ impl<'a> Ladder<'a> {
     /// directly.
     pub fn estimate(&self, query: &SpjQuery, budget: &Budget) -> BudgetedEstimate {
         if budget.is_unlimited() {
-            let mut est = self.build_estimator(query, false);
+            let mut est = self.build_estimator(query, self.strategy);
             let all = est.context().all();
             let (selectivity, error) = est.get_selectivity(all);
             let quality = if est.is_beam() {
@@ -533,7 +496,7 @@ impl<'a> Ladder<'a> {
         // zero deadline — goes straight to the floor. Without this gate a
         // query small enough to finish between amortized polls could still
         // return `Full`, making cancellation nondeterministic.
-        let entry = BudgetMeter::from_parts(
+        let entry = BudgetMeter::new(
             budget.deadline.map(|d| start + d),
             None,
             budget.cancel.clone(),
@@ -549,10 +512,8 @@ impl<'a> Ladder<'a> {
         // when the strategy routes the query's width to the beam engine —
         // on half the allowance. When routed, the top rung is the beam
         // itself (the exact walk is unaffordable by construction) and the
-        // dedicated middle rung is redundant. The top rung's exact work,
-        // counted on its own estimator, also serves the pruned rung, whose
-        // walk has the same shape.
-        let mut est = self.build_estimator(query, false);
+        // dedicated beam rung below is redundant.
+        let mut est = self.build_estimator(query, self.strategy);
         let routed = est.is_beam();
         let top = if routed { Quality::Beam } else { Quality::Full };
         let dense = est.dense_work(est.context().all());
@@ -572,34 +533,21 @@ impl<'a> Ladder<'a> {
         // real error model, far cheaper than the full walk that just
         // tripped. Caps are floors of monotone functions of Q — never
         // cumulative windows, which would break quota monotonicity.
-        let r1 = budget.quota.map(|q| q - q / 2);
         if !routed {
-            let est = self.build_estimator_as(query, false, DpStrategy::Beam);
+            let est = self.build_estimator(query, DpStrategy::Beam);
             let slice = (
                 budget.deadline.map(|d| start + d.mul_f64(0.625)),
-                r1.map(|r| r / 2),
+                budget.quota.map(|q| (q - q / 2) / 2),
             );
             if let Ok(answer) = self.dp_rung(Quality::Beam, est, None, slice, cancel, &mut work) {
                 return answer.label(Quality::Beam, Some(reason), work, self.metrics);
             }
         }
 
-        // Rung 3: pruned DP (the pruned *beam* engine when routed) on a
-        // fresh slice of what the rungs above left notionally unspent.
-        let r2 = if routed { r1 } else { r1.map(|r| r - r / 2) };
-        let est = self.build_estimator(query, true);
-        let slice = (
-            budget.deadline.map(|d| start + d.mul_f64(0.75)),
-            r2.map(|r| r / 2),
-        );
-        if let Ok(answer) = self.dp_rung(Quality::Pruned, est, dense, slice, cancel, &mut work) {
-            return answer.label(Quality::Pruned, Some(reason), work, self.metrics);
-        }
-
-        // Rung 4: greedy view matching — one chain pass, no quota. Only
+        // Rung 3: greedy view matching — one chain pass, no quota. Only
         // skipped if the caller cancelled or the full deadline already
         // passed (the pass itself is microseconds-to-milliseconds).
-        let gate = BudgetMeter::from_parts(
+        let gate = BudgetMeter::new(
             budget.deadline.map(|d| start + d),
             None,
             budget.cancel.clone(),
@@ -620,7 +568,7 @@ impl<'a> Ladder<'a> {
             };
         }
 
-        // Rung 5: the floor — independence, or the bound-capped
+        // Rung 4: the floor — independence, or the bound-capped
         // `Quality::Bound` variant when the backend publishes one. O(n);
         // always answers.
         self.floor(query, Some(reason), work)
@@ -634,23 +582,20 @@ mod tests {
     #[test]
     fn a_rate_starts_at_its_first_run_and_moves_a_quarter_per_run() {
         let costs = RungCosts::new();
-        assert_eq!(costs.ns_per_submask(Quality::Full), None);
-        costs.full.learn(Duration::from_nanos(4_000), 100);
-        assert_eq!(costs.ns_per_submask(Quality::Full), Some(40.0));
-        costs.full.learn(Duration::from_nanos(8_000), 100);
-        assert_eq!(costs.ns_per_submask(Quality::Full), Some(50.0));
+        assert_eq!(costs.ns_per_submask(), None);
+        costs.learn(Duration::from_nanos(4_000), 100);
+        assert_eq!(costs.ns_per_submask(), Some(40.0));
+        costs.learn(Duration::from_nanos(8_000), 100);
+        assert_eq!(costs.ns_per_submask(), Some(50.0));
         // A run that walked nothing carries no rate.
-        costs.full.learn(Duration::from_millis(5), 0);
-        assert_eq!(costs.ns_per_submask(Quality::Full), Some(50.0));
-        // Each rung learns on its own; only full and pruned have rates.
-        assert_eq!(costs.ns_per_submask(Quality::Pruned), None);
-        assert!(costs.rate(Quality::Beam).is_none());
+        costs.learn(Duration::from_millis(5), 0);
+        assert_eq!(costs.ns_per_submask(), Some(50.0));
     }
 
     #[test]
     fn one_predicted_skip_in_thirty_two_runs_the_rung() {
-        let rate = RungRate::default();
-        let runs: Vec<u64> = (0..3 * REPROBE_EVERY).filter(|_| rate.reprobe()).collect();
+        let costs = RungCosts::new();
+        let runs: Vec<u64> = (0..3 * REPROBE_EVERY).filter(|_| costs.reprobe()).collect();
         assert_eq!(runs, [31, 63, 95]);
     }
 }

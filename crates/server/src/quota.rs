@@ -37,7 +37,7 @@
 //! ```
 //!
 //! so overload translates into *quality* degradation down the estimation
-//! ladder (the answers come back fast, labeled `pruned`/`greedy`/...)
+//! ladder (the answers come back fast, labeled `beam`/`greedy`/...)
 //! for the overloading tenant only, while its throughput within quota
 //! holds. The quadratic makes the squeeze decisive: at 2× overload a
 //! tenant keeps only a quarter of its latency envelope, pushing wide

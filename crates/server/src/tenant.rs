@@ -27,7 +27,7 @@
 //! *minimum* of the caller's ask, the tenant's contracted ceiling, and
 //! the bucket's pressure-compressed deadline — so a tenant driving 2×
 //! its quota sees its own answers degrade down the ladder (honestly
-//! labeled `pruned`/`greedy`/...) while every other tenant keeps its
+//! labeled `beam`/`greedy`/...) while every other tenant keeps its
 //! full ceiling and stays at `Quality::Full`.
 //!
 //! ## Isolation

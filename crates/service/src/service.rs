@@ -125,7 +125,7 @@ impl std::error::Error for ServiceError {}
 /// published one. The cross-query cache lives inside the snapshot because
 /// its join/`H3` entries are keyed by [`sqe_core::SitId`], which is only
 /// meaningful relative to this snapshot's catalog. Beside it live the
-/// ladder's learned [`RungCosts`], whose rates include that cache's hits
+/// ladder's learned [`RungCosts`], whose rate includes that cache's hits
 /// and misses; both start empty on every new snapshot.
 pub struct CatalogSnapshot {
     db: Arc<Database>,

@@ -199,7 +199,8 @@ pub struct IngestCounters {
 /// Point-in-time service metrics, as returned by
 /// [`crate::EstimationService::stats`]. Per-tier arrays are indexed in
 /// [`Quality::ALL`] order, worst to best: bound, independence, greedy,
-/// pruned, beam, full.
+/// pruned, beam, full. No ladder rung answers `pruned`, so its slots
+/// stay zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceStatsSnapshot {
     /// Estimates served, cache hits included (the sum of

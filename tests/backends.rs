@@ -23,7 +23,7 @@ use proptest::prelude::*;
 
 use sqe::core::failpoint::{self, Action};
 use sqe::core::{
-    BnBackend, BnCatalog, BoundSketch, BudgetMeter, DiffBackend, PessimisticBackend,
+    BnBackend, BnCatalog, BoundSketch, BudgetMeter, DiffBackend, ExhaustReason, PessimisticBackend,
     SelectivityBackend,
 };
 use sqe::datagen::{generate_mutations, MutationConfig};
@@ -248,10 +248,11 @@ fn diff_backend_identity_survives_armed_failpoints() {
     assert_eq!(fe.to_bits(), se.to_bits(), "fresh after chaos");
 }
 
-/// Budget cancellation through the backend seam: a half-sized quota trips
-/// the explicit-`DiffBackend` estimator exactly as it trips the default
-/// one (or completes with the exact bits at a fill boundary), and a fresh
-/// unlimited run afterward is bit-identical.
+/// Budget cancellation through the backend seam: the explicit-`DiffBackend`
+/// estimator charges exactly what the default one does, a quota of half
+/// that charge trips it with `WorkQuota` (or it completes with the exact
+/// bits at a fill boundary), and a fresh unlimited run afterward is
+/// bit-identical.
 #[test]
 fn diff_backend_identity_survives_budget_cancellation() {
     let (db, q) = chain_db_and_query();
@@ -259,34 +260,34 @@ fn diff_backend_identity_survives_budget_cancellation() {
     let mut base = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff);
     let (ss, se) = base.get_selectivity(base.context().all());
 
-    // Measure the full cost through the backend-threaded path, then grant
-    // half: the meter charges must be unchanged by the refactor too.
-    let gauge = Arc::new(BudgetMeter::start(&Budget::unlimited()));
+    // Measure the full cost through the backend-threaded path with a meter
+    // that counts but never trips, then grant half: the meter charges must
+    // be unchanged by the backend seam too.
     let mut measured = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
         .with_backend(Arc::new(DiffBackend))
-        .with_budget_meter(Arc::clone(&gauge));
+        .with_budget_meter(BudgetMeter::new(None, None, None));
     measured
         .try_get_selectivity(measured.context().all())
-        .expect("unlimited meter cannot trip");
-    let baseline_gauge = Arc::new(BudgetMeter::start(&Budget::unlimited()));
+        .expect("a meter without limits cannot trip");
     let mut baseline_measured = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_budget_meter(Arc::clone(&baseline_gauge));
+        .with_budget_meter(BudgetMeter::new(None, None, None));
     baseline_measured
         .try_get_selectivity(baseline_measured.context().all())
-        .expect("unlimited meter cannot trip");
+        .expect("a meter without limits cannot trip");
+    let full = measured.stats().work;
+    assert!(full > 1, "gauge counted {full} units");
     assert_eq!(
-        gauge.spent(),
-        baseline_gauge.spent(),
+        full,
+        baseline_measured.stats().work,
         "backend seam altered the work charge"
     );
 
-    let quota = (gauge.spent() / 2).max(1);
-    let tight = Arc::new(BudgetMeter::start(&Budget::unlimited().with_quota(quota)));
+    let quota = full / 2;
     let mut est = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
         .with_backend(Arc::new(DiffBackend))
-        .with_budget_meter(Arc::clone(&tight));
+        .with_budget_meter(BudgetMeter::new(None, Some(quota), None));
     match est.try_get_selectivity(est.context().all()) {
-        Err(_) => assert!(tight.tripped().is_some(), "error implies a tripped meter"),
+        Err(reason) => assert_eq!(reason, ExhaustReason::WorkQuota),
         Ok((s, e)) => {
             assert_eq!(s.to_bits(), ss.to_bits(), "boundary Ok must be exact");
             assert_eq!(e.to_bits(), se.to_bits(), "boundary Ok must be exact");

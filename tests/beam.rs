@@ -19,7 +19,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use sqe::core::failpoint::{self, Action};
-use sqe::core::{BudgetMeter, CacheKey, SharedEstimatorCache, SitId};
+use sqe::core::{BudgetMeter, CacheKey, ExhaustReason, SharedEstimatorCache, SitId};
 use sqe::engine::table::TableBuilder;
 use sqe::prelude::*;
 use sqe::service::{EstimationService, ServiceConfig, ShardedCache};
@@ -379,9 +379,9 @@ fn beam_matches_dense_at_n12_and_reports_bounded_work() {
     }
 }
 
-/// Mid-walk budget cancellation: a quota sized to trip halfway through
-/// makes the beam engine abort with the sticky reason (committing nothing
-/// wrong), and an `Ok` at the boundary is accepted iff bit-exact.
+/// Mid-walk budget cancellation: a quota of half the beam engine's
+/// charge makes it abort with `WorkQuota` (committing nothing wrong), and
+/// an `Ok` at the boundary is accepted iff bit-exact.
 #[test]
 fn beam_budget_trip_aborts_cleanly() {
     let (db, q) = chain_db_and_query();
@@ -389,22 +389,21 @@ fn beam_budget_trip_aborts_cleanly() {
     let mut serial = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff);
     let (ss, se) = serial.get_selectivity(serial.context().all());
 
-    // Measure the full cost under the beam engine, then grant half.
-    let gauge = Arc::new(BudgetMeter::start(&Budget::unlimited()));
+    // Measure the full cost under the beam engine with a meter that counts
+    // but never trips, then grant half.
     let mut measured = exact(&db, &q, &catalog, ErrorMode::Diff, DpStrategy::Beam)
-        .with_budget_meter(Arc::clone(&gauge));
+        .with_budget_meter(BudgetMeter::new(None, None, None));
     measured
         .try_get_selectivity(measured.context().all())
-        .expect("unlimited meter cannot trip");
-    let quota = (gauge.spent() / 2).max(1);
+        .expect("a meter without limits cannot trip");
+    let full = measured.stats().work;
+    assert!(full > 1, "gauge counted {full} units");
+    let quota = full / 2;
 
-    let tight = Arc::new(BudgetMeter::start(&Budget::unlimited().with_quota(quota)));
     let mut beam = exact(&db, &q, &catalog, ErrorMode::Diff, DpStrategy::Beam)
-        .with_budget_meter(Arc::clone(&tight));
+        .with_budget_meter(BudgetMeter::new(None, Some(quota), None));
     match beam.try_get_selectivity(beam.context().all()) {
-        Err(_) => {
-            assert!(tight.tripped().is_some(), "error implies a tripped meter");
-        }
+        Err(reason) => assert_eq!(reason, ExhaustReason::WorkQuota),
         Ok((s, e)) => {
             assert_eq!(s.to_bits(), ss.to_bits(), "boundary Ok must be exact");
             assert_eq!(e.to_bits(), se.to_bits(), "boundary Ok must be exact");
