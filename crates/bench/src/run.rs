@@ -6,13 +6,15 @@
 //! mean over queries. [`eval_query`] implements one query's worth of that
 //! for a chosen [`Technique`].
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use sqe_core::{
     ErrorMode, GreedyViewMatching, NoSitEstimator, PredSet, QueryContext, SelectivityEstimator,
-    SitCatalog,
+    SharedEstimatorCache, SitCatalog, SitId,
 };
 use sqe_engine::{CardinalityOracle, Database, SpjQuery};
+use sqe_histogram::Histogram;
 
 /// An estimation technique from §5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,9 +60,60 @@ pub struct QueryEval {
     pub vm_calls: u64,
     /// Wall time for all estimation requests (excludes truth computation).
     pub wall: Duration,
-    /// Portion of `wall` spent manipulating histograms (Figure 8's split;
-    /// zero for techniques that do not expose the split).
+    /// Portion of `wall` spent computing SIT-pair join and `H3` products
+    /// (Figure 8's histogram-manipulation component, timed through the
+    /// estimator's shared-cache seam; zero for GVM, which runs no such
+    /// estimator).
     pub histogram_time: Duration,
+}
+
+/// A [`SharedEstimatorCache`] that stores nothing and times the products
+/// computed beneath it. Every lookup misses, and the estimator then
+/// computes the product and writes it back, so the span from a
+/// `get_join`/`get_h3` miss to its `put_*` is the time one histogram join
+/// took. Attaching it changes no value: a cache that never hits leaves
+/// every path as it is without one.
+#[derive(Debug, Default)]
+struct ProductClock {
+    /// When the pending miss happened, and the summed spans.
+    state: Mutex<(Option<Instant>, Duration)>,
+}
+
+impl ProductClock {
+    fn miss(&self) {
+        self.state.lock().expect("clock lock").0 = Some(Instant::now());
+    }
+
+    fn computed(&self) {
+        let mut state = self.state.lock().expect("clock lock");
+        if let Some(missed) = state.0.take() {
+            state.1 += missed.elapsed();
+        }
+    }
+
+    fn total(&self) -> Duration {
+        self.state.lock().expect("clock lock").1
+    }
+}
+
+impl SharedEstimatorCache for ProductClock {
+    fn get_join(&self, _pair: (SitId, SitId)) -> Option<f64> {
+        self.miss();
+        None
+    }
+
+    fn put_join(&self, _pair: (SitId, SitId), _selectivity: f64) {
+        self.computed();
+    }
+
+    fn get_h3(&self, _pair: (SitId, SitId)) -> Option<(Histogram, f64)> {
+        self.miss();
+        None
+    }
+
+    fn put_h3(&self, _pair: (SitId, SitId), _value: (Histogram, f64)) {
+        self.computed();
+    }
 }
 
 /// Evaluates one query: estimates the cardinality of every non-empty
@@ -86,20 +139,20 @@ pub fn eval_query(
         })
         .collect();
 
+    let clock = ProductClock::default();
     let start = Instant::now();
     let (estimates, vm_calls, histogram_time) = match technique {
         Technique::NoSit => {
             let nosit = NoSitEstimator::from_catalog(catalog);
-            let mut est = nosit.estimator(db, query);
+            let mut est = nosit.estimator(db, query).with_shared_cache(&clock);
             let cards: Vec<f64> = subsets.iter().map(|&p| est.cardinality(p)).collect();
-            let stats = est.stats();
-            (cards, stats.vm_calls, stats.histogram_time)
+            (cards, est.stats().vm_calls, clock.total())
         }
         Technique::Gs(mode) => {
-            let mut est = SelectivityEstimator::new(db, query, catalog, mode);
+            let mut est =
+                SelectivityEstimator::new(db, query, catalog, mode).with_shared_cache(&clock);
             let cards: Vec<f64> = subsets.iter().map(|&p| est.cardinality(p)).collect();
-            let stats = est.stats();
-            (cards, stats.vm_calls, stats.histogram_time)
+            (cards, est.stats().vm_calls, clock.total())
         }
         Technique::Gvm => {
             let mut gvm = GreedyViewMatching::new(db, query, catalog);

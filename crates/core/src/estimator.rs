@@ -56,7 +56,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use sqe_engine::{CardinalityOracle, ColRef, Database, Predicate, SpjQuery};
 use sqe_histogram::Histogram;
@@ -125,10 +124,6 @@ pub struct EstimatorStats {
     pub memo_entries: usize,
     /// Entries in the per-link memo (single-predicate conditional factors).
     pub peel_entries: usize,
-    /// Time spent manipulating histograms (Figure 8's "histogram
-    /// manipulation" component; the rest of wall time is "decomposition
-    /// analysis").
-    pub histogram_time: Duration,
     /// Submask iterations the dense fill's non-separable walks ran,
     /// tripped walks included — the unit of the ladder's per-rung cost
     /// rates (see [`DenseWork`]). Zero on the beam engine.
@@ -343,7 +338,7 @@ impl<'a> SelectivityEstimator<'a> {
     fn apply_strategy(&mut self, strategy: DpStrategy) {
         let n = self.ctx.predicates().len();
         let dense = !strategy.use_beam(n);
-        self.memo_dense = dense.then(|| DenseMemo::new(n));
+        self.memo_dense = dense.then(|| DenseMemo::new(1 << n));
         self.comp_table = dense.then(|| ComponentTable::new(n));
         self.peel_memo = if dense && n <= DENSE_PEEL_MAX {
             PeelMemo::dense(n)
@@ -470,7 +465,6 @@ impl<'a> SelectivityEstimator<'a> {
                 .as_ref()
                 .map_or(self.memo_sparse.len(), DenseMemo::len),
             peel_entries: self.peel_memo.len(),
-            histogram_time: self.links.hist_time,
             submasks: self.submasks,
             work: self.meter.as_ref().map_or(0, BudgetMeter::spent),
         }
@@ -486,7 +480,7 @@ impl<'a> SelectivityEstimator<'a> {
         let (memo, table) = (self.memo_dense.as_ref()?, self.comp_table.as_mut()?);
         let ctx = &self.ctx;
         let mut work = DenseWork::default();
-        if p.is_empty() || memo.get(p.0).is_some() {
+        if p.is_empty() || memo.get(p.0 as usize).is_some() {
             return Some(work);
         }
         // Mirrors `fill_dense`: each unsolved component's sub-lattice,
@@ -496,7 +490,7 @@ impl<'a> SelectivityEstimator<'a> {
         while !rest.is_empty() {
             let c = table.ensure(ctx, rest).0;
             rest = rest.minus(PredSet(c));
-            if memo.get(c).is_some() {
+            if memo.get(c as usize).is_some() {
                 continue;
             }
             let mut m = 0u32;
@@ -505,7 +499,7 @@ impl<'a> SelectivityEstimator<'a> {
                 if m == 0 {
                     break;
                 }
-                if memo.get(m).is_some() {
+                if memo.get(m as usize).is_some() {
                     continue;
                 }
                 work.masks += 1;
@@ -562,7 +556,7 @@ impl<'a> SelectivityEstimator<'a> {
     #[inline]
     fn memo_get(&self, p: PredSet) -> Option<(f64, f64)> {
         match &self.memo_dense {
-            Some(dense) => dense.get(p.0),
+            Some(dense) => dense.get(p.0 as usize),
             None => self.memo_sparse.get(p.0 as u64),
         }
     }
@@ -606,7 +600,7 @@ impl<'a> SelectivityEstimator<'a> {
         self.memo_dense
             .as_mut()
             .expect("dense engine active")
-            .set(p.0, result);
+            .set(p.0 as usize, result);
         Ok(result)
     }
 
@@ -624,7 +618,7 @@ impl<'a> SelectivityEstimator<'a> {
                 self.memo_dense
                     .as_mut()
                     .expect("dense engine active")
-                    .set(m.0, result);
+                    .set(m.0 as usize, result);
             }
         }
         Ok(self
@@ -696,7 +690,8 @@ impl<'a> SelectivityEstimator<'a> {
             let (sel_q, err_q) = if q.is_empty() {
                 (1.0, 0.0)
             } else {
-                memo.get(q.0).expect("proper subsets fill in earlier ranks")
+                memo.get(q.0 as usize)
+                    .expect("proper subsets fill in earlier ranks")
             };
             let (sel_f, err_f) = factor_with(
                 [lc.ctx.joins_in(p_prime), lc.ctx.filters_in(p_prime)],

@@ -6,10 +6,11 @@
 //! chasing) dominates the arithmetic. This module provides the two
 //! allocation-light replacements the estimator's hot path runs on:
 //!
-//! * [`DenseMemo`] — a `Vec<(f64, f64)>` indexed **directly** by the
-//!   [`crate::predset::PredSet`] mask, with a validity bitmap. A probe is
-//!   one bit test plus one indexed load. The subset memo of every exact
-//!   estimate (`n ≤ 20`).
+//! * [`DenseMemo`] — a `Vec<(f64, f64)>` indexed **directly** by slot
+//!   number, with a validity bitmap. A probe is one bit test plus one
+//!   indexed load. The subset memo of every exact estimate (`n ≤ 20`),
+//!   indexed by the [`crate::predset::PredSet`] mask, and the dense
+//!   layout of [`PeelMemo`].
 //! * [`FlatMemo`] — an open-addressed, linear-probing table keyed by `u64`
 //!   with Fibonacci hashing. The subset memo of the beam engine, which
 //!   visits a sparse set of states at any `n`, and the sparse layout
@@ -33,11 +34,14 @@ const EMPTY_KEY: u64 = u64::MAX;
 /// Minimum open-addressed capacity (power of two).
 const MIN_CAPACITY: usize = 64;
 
-/// Dense subset memo: value table indexed directly by predicate-set mask
-/// plus a validity bitmap. The value table is allocated on the first
-/// [`DenseMemo::set`]: an allocator that has freed a large block before
-/// hands the next one out of its heap and must zero it, so an estimator
-/// built and dropped unused costs only the bitmap.
+/// Dense memo table: values indexed directly by a slot number, plus a
+/// validity bitmap. The subset memo indexes it by predicate-set mask
+/// (`2ⁿ` slots); [`PeelMemo::Dense`] by `(i << n) | cset` (`n · 2ⁿ`
+/// slots). The value table is allocated on the first [`DenseMemo::set`]:
+/// an allocator that has freed a large block before hands the next one
+/// out of its heap and must zero it (16 MiB for the peel table at
+/// `n = 16`), so an estimator built and dropped unused costs only the
+/// bitmap.
 #[derive(Debug, Clone)]
 pub struct DenseMemo {
     vals: Vec<(f64, f64)>,
@@ -46,43 +50,40 @@ pub struct DenseMemo {
 }
 
 impl DenseMemo {
-    /// A table covering all `2ⁿ` subset masks of an `n`-predicate query.
-    pub fn new(n: usize) -> Self {
-        let size = 1usize << n;
+    /// A table of `slots` entries.
+    pub fn new(slots: usize) -> Self {
         DenseMemo {
             vals: Vec::new(),
-            valid: vec![0u64; size.div_ceil(64)],
+            valid: vec![0u64; slots.div_ceil(64)],
             occupied: 0,
         }
     }
 
-    /// The memoized value for `mask`, if computed.
+    /// The memoized value in slot `idx`, if computed.
     #[inline]
-    pub fn get(&self, mask: u32) -> Option<(f64, f64)> {
-        let m = mask as usize;
-        if self.valid[m >> 6] & (1u64 << (m & 63)) != 0 {
-            Some(self.vals[m])
+    pub fn get(&self, idx: usize) -> Option<(f64, f64)> {
+        if self.valid[idx >> 6] & (1u64 << (idx & 63)) != 0 {
+            Some(self.vals[idx])
         } else {
             None
         }
     }
 
-    /// Stores the value for `mask`.
+    /// Stores the value in slot `idx`.
     #[inline]
-    pub fn set(&mut self, mask: u32, value: (f64, f64)) {
-        let m = mask as usize;
+    pub fn set(&mut self, idx: usize, value: (f64, f64)) {
         if self.vals.is_empty() {
             self.vals = vec![(0.0, 0.0); self.valid.len() * 64];
         }
-        let bit = 1u64 << (m & 63);
-        if self.valid[m >> 6] & bit == 0 {
-            self.valid[m >> 6] |= bit;
+        let bit = 1u64 << (idx & 63);
+        if self.valid[idx >> 6] & bit == 0 {
+            self.valid[idx >> 6] |= bit;
             self.occupied += 1;
         }
-        self.vals[m] = value;
+        self.vals[idx] = value;
     }
 
-    /// Number of **occupied** slots (computed subsets), not capacity.
+    /// Number of **occupied** slots, not capacity.
     pub fn len(&self) -> usize {
         self.occupied
     }
@@ -198,86 +199,16 @@ pub fn peel_key(i: usize, cset: u32) -> u64 {
     ((i as u64) << 32) | cset as u64
 }
 
-/// Dense peel memo: `n · 2ⁿ` slots indexed by `(i << n) | cset`, with a
-/// validity bitmap — the peel-key analogue of [`DenseMemo`].
-///
-/// At `n = 16` the value table is 16 MiB. Zeroing it is not free — once
-/// the allocator has freed a block that large it serves the next one from
-/// its heap and clears every byte — so, as in [`DenseMemo`], it is
-/// allocated on the first [`DensePeel::insert`], and an estimator dropped
-/// unused never pays for it.
-#[derive(Debug, Clone)]
-pub struct DensePeel {
-    n: u32,
-    vals: Vec<(f64, f64)>,
-    valid: Vec<u64>,
-    occupied: usize,
-}
-
-impl DensePeel {
-    /// A table for all `(i, cset)` pairs of an `n`-predicate query.
-    pub fn new(n: usize) -> Self {
-        let size = n.max(1) << n;
-        DensePeel {
-            n: n as u32,
-            vals: Vec::new(),
-            valid: vec![0u64; size.div_ceil(64)],
-            occupied: 0,
-        }
-    }
-
-    /// Translates a packed [`peel_key`] into the dense slot index.
-    #[inline]
-    fn index(&self, key: u64) -> usize {
-        (((key >> 32) as usize) << self.n) | (key as u32 as usize)
-    }
-
-    /// The memoized value under `key`, if computed.
-    #[inline]
-    pub fn get(&self, key: u64) -> Option<(f64, f64)> {
-        let idx = self.index(key);
-        if self.valid[idx >> 6] & (1u64 << (idx & 63)) != 0 {
-            Some(self.vals[idx])
-        } else {
-            None
-        }
-    }
-
-    /// Stores the value under `key`.
-    #[inline]
-    pub fn insert(&mut self, key: u64, value: (f64, f64)) {
-        let idx = self.index(key);
-        if self.vals.is_empty() {
-            self.vals = vec![(0.0, 0.0); self.valid.len() * 64];
-        }
-        let bit = 1u64 << (idx & 63);
-        if self.valid[idx >> 6] & bit == 0 {
-            self.valid[idx >> 6] |= bit;
-            self.occupied += 1;
-        }
-        self.vals[idx] = value;
-    }
-
-    /// Number of **occupied** slots, not capacity.
-    pub fn len(&self) -> usize {
-        self.occupied
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.occupied == 0
-    }
-}
-
 /// The per-link peel memo, in whichever layout fits the query: dense
 /// direct-indexed slots when the dense engine runs at `n ≤ 16`,
 /// open-addressed otherwise. Both layouts are keyed by the same packed
 /// [`peel_key`], so every call site is layout-oblivious.
 #[derive(Debug, Clone)]
 pub enum PeelMemo {
-    /// Direct-indexed `n·2ⁿ` table (the subset walk's probe becomes a
-    /// shift + bit test + load).
-    Dense(DensePeel),
+    /// Direct-indexed `n·2ⁿ` table over an `n`-predicate query, slot
+    /// `(i << n) | cset` (the subset walk's probe becomes a shift + bit
+    /// test + load).
+    Dense { n: u32, table: DenseMemo },
     /// Open-addressed fallback (the beam engine, or `n` past the dense
     /// peel cap where `n·2ⁿ` slots cost real memory).
     Sparse(FlatMemo),
@@ -291,14 +222,23 @@ impl PeelMemo {
 
     /// An empty dense table for an `n`-predicate query.
     pub fn dense(n: usize) -> Self {
-        PeelMemo::Dense(DensePeel::new(n))
+        PeelMemo::Dense {
+            n: n as u32,
+            table: DenseMemo::new(n.max(1) << n),
+        }
+    }
+
+    /// The dense slot of a packed [`peel_key`]: `(i << n) | cset`.
+    #[inline]
+    fn slot(n: u32, key: u64) -> usize {
+        (((key >> 32) as usize) << n) | (key as u32 as usize)
     }
 
     /// The memoized value under `key`, if computed.
     #[inline]
     pub fn get(&self, key: u64) -> Option<(f64, f64)> {
         match self {
-            PeelMemo::Dense(d) => d.get(key),
+            PeelMemo::Dense { n, table } => table.get(Self::slot(*n, key)),
             PeelMemo::Sparse(s) => s.get(key),
         }
     }
@@ -307,7 +247,7 @@ impl PeelMemo {
     #[inline]
     pub fn insert(&mut self, key: u64, value: (f64, f64)) {
         match self {
-            PeelMemo::Dense(d) => d.insert(key, value),
+            PeelMemo::Dense { n, table } => table.set(Self::slot(*n, key), value),
             PeelMemo::Sparse(s) => s.insert(key, value),
         }
     }
@@ -315,7 +255,7 @@ impl PeelMemo {
     /// Number of **occupied** slots, not capacity.
     pub fn len(&self) -> usize {
         match self {
-            PeelMemo::Dense(d) => d.len(),
+            PeelMemo::Dense { table, .. } => table.len(),
             PeelMemo::Sparse(s) => s.len(),
         }
     }
@@ -332,7 +272,7 @@ mod tests {
 
     #[test]
     fn dense_memo_roundtrips_and_counts_occupied() {
-        let mut m = DenseMemo::new(6);
+        let mut m = DenseMemo::new(1 << 6);
         assert_eq!(m.len(), 0);
         assert!(m.is_empty());
         assert_eq!(m.get(0b10_1010), None);
@@ -350,11 +290,11 @@ mod tests {
 
     #[test]
     fn dense_memo_covers_multiword_bitmaps() {
-        let mut m = DenseMemo::new(8);
-        for mask in (0u32..256).step_by(3) {
+        let mut m = DenseMemo::new(1 << 8);
+        for mask in (0usize..256).step_by(3) {
             m.set(mask, (mask as f64, 0.0));
         }
-        for mask in 0u32..256 {
+        for mask in 0usize..256 {
             if mask % 3 == 0 {
                 assert_eq!(m.get(mask), Some((mask as f64, 0.0)));
             } else {

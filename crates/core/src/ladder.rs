@@ -90,7 +90,10 @@
 //! the first masks of a fill are peel-heavy, so a projection from early
 //! progress reads several times too high.
 //!
-//! Unlimited budgets and the beam engine never reach the rule.
+//! Unlimited budgets and the beam engine never reach the rule. An
+//! unlimited budget takes the same path as any other: its top rung runs
+//! with no meter attached, so it cannot trip, charges no work and answers
+//! bit-identically to the estimator run directly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -391,15 +394,16 @@ impl<'a> Ladder<'a> {
     }
 
     /// Runs one DP rung on `est` within its `(deadline, quota)` slice,
-    /// adding the work it charged to `work`. `dense` is the rung's exact
-    /// work when it runs the dense engine: the rung is then skipped if it
-    /// cannot finish in its slice, and with [`RungCosts`] attached a run
-    /// that finishes or trips teaches the learned rate. `Err` carries the
-    /// trip or skip reason.
+    /// adding the work it charged to `work`. A slice with no limit and no
+    /// `cancel` attaches no meter. `dense` is the rung's exact work when
+    /// it runs the dense engine: the rung is then skipped if it cannot
+    /// finish in its slice, and with [`RungCosts`] attached a run that
+    /// finishes or trips teaches the learned rate. `Err` carries the trip
+    /// or skip reason.
     fn dp_rung(
         &self,
         rung: Quality,
-        est: SelectivityEstimator<'a>,
+        mut est: SelectivityEstimator<'a>,
         dense: Option<DenseWork>,
         (deadline, cap): (Option<Instant>, Option<u64>),
         cancel: &Option<CancelToken>,
@@ -413,7 +417,9 @@ impl<'a> Ladder<'a> {
             }
         }
         self.metrics.rung_attempted(rung);
-        let mut est = est.with_budget_meter(BudgetMeter::new(deadline, cap, cancel.clone()));
+        if deadline.is_some() || cap.is_some() || cancel.is_some() {
+            est = est.with_budget_meter(BudgetMeter::new(deadline, cap, cancel.clone()));
+        }
         let all = est.context().all();
         let result = est.try_get_selectivity(all);
         let stats = est.stats();
@@ -468,28 +474,11 @@ impl<'a> Ladder<'a> {
     }
 
     /// Runs the ladder for `query` under `budget`. Never errors: the
-    /// independence floor guarantees an answer. An unlimited budget takes
-    /// a meter-free fast path bit-identical to calling the estimator
-    /// directly.
+    /// independence floor guarantees an answer. Under an unlimited budget
+    /// the top rung attaches no meter and counts no exact work, so it
+    /// cannot trip and answers bit-identically to calling the estimator
+    /// directly, with `work == 0`.
     pub fn estimate(&self, query: &SpjQuery, budget: &Budget) -> BudgetedEstimate {
-        if budget.is_unlimited() {
-            let mut est = self.build_estimator(query, self.strategy);
-            let all = est.context().all();
-            let (selectivity, error) = est.get_selectivity(all);
-            let quality = if est.is_beam() {
-                Quality::Beam
-            } else {
-                Quality::Full
-            };
-            self.metrics.rung_attempted(quality);
-            let answer = DpAnswer {
-                selectivity,
-                error,
-                stats: est.stats(),
-            };
-            return answer.label(quality, None, 0, self.metrics);
-        }
-
         let start = Instant::now();
 
         // A budget already exhausted at entry — a pre-cancelled token or a
@@ -516,7 +505,14 @@ impl<'a> Ladder<'a> {
         let mut est = self.build_estimator(query, self.strategy);
         let routed = est.is_beam();
         let top = if routed { Quality::Beam } else { Quality::Full };
-        let dense = est.dense_work(est.context().all());
+        // An unlimited budget can skip or trip nothing, so it pays for no
+        // exact-work count (a pass over the sub-lattice), and its
+        // unmetered walk teaches the learned rate nothing.
+        let dense = if budget.is_unlimited() {
+            None
+        } else {
+            est.dense_work(est.context().all())
+        };
         let slice = (
             budget.deadline.map(|d| start + d / 2),
             budget.quota.map(|q| q / 2),

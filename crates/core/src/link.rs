@@ -15,7 +15,6 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::time::{Duration, Instant};
 
 use sqe_engine::{CardinalityOracle, ColRef, Database, Predicate};
 use sqe_histogram::Histogram;
@@ -104,8 +103,6 @@ pub(crate) struct LinkState {
     pub carry_cache: HashMap<(Sit2Id, SitId), (Histogram, f64)>,
     /// Conditional-y cache per (grid, x-range).
     pub cond2_cache: HashMap<(Sit2Id, i64, i64), (Histogram, f64)>,
-    /// Time spent manipulating histograms (Figure 8's component).
-    pub hist_time: Duration,
     /// View-matching calls issued from the peel path (the estimator's
     /// [`crate::matcher::SitMatcher`] counter covers the non-peel callers).
     pub vm_calls: u64,
@@ -272,9 +269,7 @@ fn peel_filter(
         let est = match st.filter_sel_cache.get(&(id, i)) {
             Some(&e) => e,
             None => {
-                let start = Instant::now();
                 let e = filter_selectivity(&sit.histogram, pred);
-                st.hist_time += start.elapsed();
                 st.filter_sel_cache.insert((id, i), e);
                 e
             }
@@ -317,14 +312,10 @@ fn peel_filter(
         let (est, h3_diff) = match st.h3_sel_cache.get(&(sc, so, i)) {
             Some(&v) => v,
             None => {
-                let (est, d, spent) = {
-                    let (h, d) = h3_join(lc, st, sc, so);
-                    let start = Instant::now();
-                    (filter_selectivity(h, pred), *d, start.elapsed())
-                };
-                st.hist_time += spent;
-                st.h3_sel_cache.insert((sc, so, i), (est, d));
-                (est, d)
+                let (h, d) = h3_join(lc, st, sc, so);
+                let v = (filter_selectivity(h, pred), *d);
+                st.h3_sel_cache.insert((sc, so, i), v);
+                v
             }
         };
         // Coverage: the join predicate itself plus both conditions
@@ -423,9 +414,7 @@ fn push_sit2_options(
                     continue;
                 }
                 let s2 = sit2s.get(s2_id);
-                let start = Instant::now();
                 let gated = shrink_conditional(&carried, &s2.y_marginal, pred, divergence);
-                st.hist_time += start.elapsed();
                 let Some((est, divergence)) = gated else {
                     continue;
                 };
@@ -471,9 +460,7 @@ fn push_sit2_options(
                 continue;
             }
             let s2 = sit2s.get(s2_id);
-            let start = Instant::now();
             let gated = shrink_conditional(&conditional, &s2.y_marginal, pred, divergence);
-            st.hist_time += start.elapsed();
             let Some((est, divergence)) = gated else {
                 continue;
             };
@@ -501,10 +488,8 @@ fn carried_h3(
     }
     let s2 = sit2s.get(s2_id);
     let far = lc.catalog.get(far_id);
-    let start = Instant::now();
     let (_, carried) = s2.grid.join_carry(&far.histogram);
     let divergence = s2.conditional_divergence(&carried).max(far.diff);
-    st.hist_time += start.elapsed();
     st.carry_cache
         .insert((s2_id, far_id), (carried.clone(), divergence));
     (carried, divergence)
@@ -523,10 +508,8 @@ fn conditional2(
         return hit.clone();
     }
     let s2 = sit2s.get(s2_id);
-    let start = Instant::now();
     let conditional = s2.grid.conditional_y(lo, hi);
     let divergence = s2.conditional_divergence(&conditional);
-    st.hist_time += start.elapsed();
     st.cond2_cache
         .insert((s2_id, lo, hi), (conditional.clone(), divergence));
     (conditional, divergence)
@@ -566,7 +549,7 @@ pub(crate) fn pick_best_opt(
         })
 }
 
-/// Histogram join selectivity of two SITs (timed, cached per pair).
+/// Histogram join selectivity of two SITs (cached per pair).
 fn join_selectivity(lc: &LinkCtx, st: &mut LinkState, l: SitId, r: SitId) -> f64 {
     if let Some(&sel) = st.join_cache.get(&(l, r)) {
         return sel;
@@ -579,9 +562,7 @@ fn join_selectivity(lc: &LinkCtx, st: &mut LinkState, l: SitId, r: SitId) -> f64
     }
     let hl = &lc.catalog.get(l).histogram;
     let hr = &lc.catalog.get(r).histogram;
-    let start = Instant::now();
     let sel = hl.join(hr).selectivity.max(MIN_SEL);
-    st.hist_time += start.elapsed();
     if let Some(cache) = lc.shared {
         cache.put_join((l, r), sel);
     }
@@ -590,7 +571,7 @@ fn join_selectivity(lc: &LinkCtx, st: &mut LinkState, l: SitId, r: SitId) -> f64
 }
 
 /// The `H3` result histogram of joining two SITs plus its divergence from
-/// the attribute side's original distribution (timed, cached).
+/// the attribute side's original distribution (cached).
 fn h3_join<'s>(
     lc: &LinkCtx,
     st: &'s mut LinkState,
@@ -607,11 +588,9 @@ fn h3_join<'s>(
         }
         let sit_c = lc.catalog.get(attr_side);
         let sit_o = lc.catalog.get(other_side);
-        let start = Instant::now();
         let joined = sit_c.histogram.join(&sit_o.histogram);
         let h3_diff = sqe_histogram::diff_from_histograms(&sit_c.histogram, &joined.histogram)
             .max(sit_c.diff);
-        st.hist_time += start.elapsed();
         if let Some(cache) = lc.shared {
             cache.put_h3((attr_side, other_side), (joined.histogram.clone(), h3_diff));
         }

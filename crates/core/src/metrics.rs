@@ -47,9 +47,8 @@ use crate::budget::{DegradeReason, Quality};
 /// floor's attempt and answer, yet is served once — from the floor.
 pub trait MetricsSink: Send + Sync {
     /// The degradation ladder is about to try a rung. Called once per
-    /// attempted rung in descending-quality order; an unbudgeted (or
-    /// unlimited-budget) estimate reports a single attempt at its top
-    /// rung.
+    /// attempted rung in descending-quality order; an unlimited-budget
+    /// estimate reports a single attempt at its top rung.
     fn rung_attempted(&self, _quality: Quality) {}
 
     /// The ladder skipped a dense rung, reported in place of
@@ -85,10 +84,6 @@ pub trait MetricsSink: Send + Sync {
     /// sinks typically keep the max, exposing the ingest generation the
     /// tenant's traffic has observed).
     fn ingest_epoch_observed(&self, _epoch: u64) {}
-
-    /// One batch call was admitted (its queries report one
-    /// [`MetricsSink::estimate_served`] each).
-    fn batch(&self) {}
 
     /// A full catalog snapshot was installed (a new pool, or the
     /// replacement after a panic quarantined the old one).
@@ -236,7 +231,6 @@ mod tests {
         s.quarantine();
         s.bound_width(2.5);
         s.ingest_epoch_observed(7);
-        s.batch();
         s.install();
         s.partial_install(3, 1, 10, 2);
     }

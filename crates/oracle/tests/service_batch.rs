@@ -1,6 +1,6 @@
-//! Pins `estimate_batch` against a fresh single-threaded
-//! [`SelectivityEstimator`] over the same catalog, field by field, and
-//! against oracle ground truth.
+//! Pins the service's `estimate`, over a batch of one scenario's queries,
+//! against a fresh single-threaded [`SelectivityEstimator`] over the same
+//! catalog, field by field, and against oracle ground truth.
 
 use std::sync::Arc;
 
@@ -20,7 +20,7 @@ fn batch_matches_a_fresh_single_threaded_estimator_and_oracle_truth() {
     // The default service runs `ErrorMode::Diff`, the mode compared below.
     let service =
         EstimationService::new(Arc::clone(&db), catalog.clone(), ServiceConfig::default());
-    let estimates = service.estimate_batch(&sc.queries);
+    let estimates: Vec<_> = sc.queries.iter().map(|q| service.estimate(q)).collect();
 
     let mut oracle = CardinalityOracle::new(&db);
     for (q, est) in sc.queries.iter().zip(&estimates) {

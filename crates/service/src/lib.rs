@@ -8,14 +8,16 @@
 //!   `(database, SIT catalogs, cross-query cache)`. Readers pin a snapshot
 //!   with an `Arc` and are never blocked or invalidated by a concurrent
 //!   pool rebuild;
-//! * [`EstimationService`] — [`EstimationService::estimate`] /
-//!   [`EstimationService::estimate_batch`] and their budgeted siblings
-//!   answer against the current snapshot through one path: a whole-query
-//!   cache probe, then the degradation [`sqe_core::Ladder`] (an unlimited
-//!   budget takes its meter-free fast path, a plain
-//!   [`sqe_core::SelectivityEstimator`] run), backed by a [`ShardedCache`]
-//!   that reuses SIT-pair join and `H3` products across queries and
-//!   threads;
+//! * [`EstimationService`] — [`EstimationService::estimate`] and its
+//!   budgeted, admission-controlled sibling
+//!   [`EstimationService::estimate_with_budget`] answer one query against
+//!   the current snapshot through one panic-isolated path: a whole-query
+//!   cache probe, then the degradation [`sqe_core::Ladder`] (under an
+//!   unlimited budget its top rung runs with no meter, bit-identical to a
+//!   plain [`sqe_core::SelectivityEstimator`] run), backed by a
+//!   [`ShardedCache`] that reuses SIT-pair join and `H3` products across
+//!   queries and threads. A panic is answered from the independence floor
+//!   and quarantines the snapshot's cache;
 //! * [`ShardedCache`] — N shards of `parking_lot::Mutex` around bounded
 //!   LRU maps of whole-query results, keyed by the query's
 //!   `(error mode, predicate sequence)` ([`sqe_core::CacheKey`]), and of

@@ -1,5 +1,5 @@
 //! The estimation service: catalog snapshots and the concurrent
-//! `estimate` / `estimate_batch` front end.
+//! `estimate` / `estimate_with_budget` front end.
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,11 +47,11 @@ pub struct ServiceConfig {
     /// snapshot's cache is exact under both, and only `Full` answers enter
     /// the whole-query cache.
     pub dp_strategy: DpStrategy,
-    /// Admission bound for the *budgeted* endpoints
-    /// ([`EstimationService::estimate_with_budget`] and its batch
-    /// sibling): at most this many requests in flight, the rest shed with
-    /// [`ServiceError::Overloaded`]. `0` disables the bound. The
-    /// unbudgeted endpoints are unaffected.
+    /// Admission bound for the *budgeted* endpoint
+    /// ([`EstimationService::estimate_with_budget`]): at most this many
+    /// requests in flight, the rest shed with
+    /// [`ServiceError::Overloaded`]. `0` disables the bound.
+    /// [`EstimationService::estimate`] takes no permit.
     pub max_in_flight: usize,
     /// Knobs of the beam-search approximate engine (see
     /// [`sqe_core::BeamConfig`]), used whenever `dp_strategy` routes a
@@ -256,12 +256,13 @@ pub struct Estimate {
     /// whoever asks first. Don't assert on `cached` in tests that race
     /// callers.
     pub cached: bool,
-    /// How the answer was obtained. The unbudgeted endpoints and every
-    /// in-budget request report [`Quality::Full`] — or [`Quality::Beam`]
-    /// when [`ServiceConfig::dp_strategy`] routes the query's width to
-    /// the beam-search approximate engine (under `Auto`, `n > 20`); a
+    /// How the answer was obtained. Every unbudgeted or in-budget request
+    /// reports [`Quality::Full`] — or [`Quality::Beam`] when
+    /// [`ServiceConfig::dp_strategy`] routes the query's width to the
+    /// beam-search approximate engine (under `Auto`, `n > 20`); a
     /// budgeted request that ran out reports the degradation-ladder rung
-    /// that answered.
+    /// that answered, and a request whose estimator panicked reports
+    /// [`Quality::Independence`] with [`DegradeReason::Panic`].
     pub quality: Quality,
     /// Why the answer is degraded below the best rung the query's routing
     /// allows (`None` iff the answer is undegraded: `Full`, or `Beam` for
@@ -287,9 +288,11 @@ pub struct Estimate {
 /// cache only stores values that are pure functions of `(predicates,
 /// conditioning set, mode, snapshot)`.
 ///
-/// Every estimate — budgeted or not — takes one path: a whole-query cache
-/// probe, then the [`Ladder`] (whose unlimited-budget fast path runs the
-/// estimator directly), and one report to the service's [`MetricsSink`].
+/// Every estimate — budgeted or not — takes one path inside one
+/// `catch_unwind`: a whole-query cache probe, then the [`Ladder`], then
+/// the upper bound, and one report to the service's [`MetricsSink`]. A
+/// panic anywhere on it is answered from the independence floor and
+/// quarantines the snapshot's cache.
 pub struct EstimationService {
     config: ServiceConfig,
     /// The database lives inside each snapshot (not on the service):
@@ -352,7 +355,7 @@ impl EstimationService {
     /// request: per-rung attempts and answers (threaded into the core
     /// [`Ladder`]), served estimates with latency and quality, sheds with
     /// their retry hints, quarantines, bound widths, observed ingest
-    /// epochs, batches and installs. Sinks only observe — answers are
+    /// epochs and installs. Sinks only observe — answers are
     /// bit-identical with or without one. The service's own
     /// [`ServiceStats`] then receives nothing, so
     /// [`EstimationService::stats`] sees only the cache counters. Call
@@ -494,28 +497,12 @@ impl EstimationService {
 
     /// Estimates one query against the current snapshot: the path of
     /// [`EstimationService::estimate_with_budget`] under
-    /// [`Budget::unlimited`], without its admission permit or panic
-    /// isolation. The answer is [`Quality::Full`] — or [`Quality::Beam`]
-    /// for beam-routed widths — and reports one attempt and one answer at
-    /// that rung to the sink.
+    /// [`Budget::unlimited`], panic isolation included, without its
+    /// admission permit. The answer is [`Quality::Full`] — or
+    /// [`Quality::Beam`] for beam-routed widths — and reports one attempt
+    /// and one answer at that rung to the sink.
     pub fn estimate(&self, query: &SpjQuery) -> Estimate {
-        self.estimate_in(&self.snapshot(), query, &Budget::unlimited())
-    }
-
-    /// Estimates a batch against one consistent snapshot: every query in
-    /// the slice is answered by the same catalog generation even if a
-    /// rebuild lands mid-batch. The queries run in input order on the
-    /// caller's thread, each exactly as [`EstimationService::estimate`]
-    /// would answer it against that snapshot; concurrency comes from
-    /// concurrent callers, not from within a batch.
-    pub fn estimate_batch(&self, queries: &[SpjQuery]) -> Vec<Estimate> {
-        self.metrics.batch();
-        let snapshot = self.snapshot();
-        let unlimited = Budget::unlimited();
-        queries
-            .iter()
-            .map(|q| self.estimate_in(&snapshot, q, &unlimited))
-            .collect()
+        self.answer(query, &Budget::unlimited())
     }
 
     /// Service metrics, including the current snapshot's cache counters.
@@ -538,12 +525,12 @@ impl EstimationService {
     /// blocking: if the budget runs out mid-DP the answer comes from a
     /// coarser rung of the [`Ladder`] with an honest [`Estimate::quality`]
     /// label. Unlike [`EstimationService::estimate`], this endpoint is
-    /// admission-controlled (at most [`ServiceConfig::max_in_flight`]
-    /// concurrent budgeted requests; the rest are shed with
-    /// [`ServiceError::Overloaded`] and a retry-after hint) and
-    /// panic-isolated: a panicking estimator is caught, its snapshot's
-    /// cache quarantined, a fresh snapshot installed, and the request
-    /// still answered from the independence floor with
+    /// admission-controlled: at most [`ServiceConfig::max_in_flight`]
+    /// concurrent budgeted requests, the rest shed with
+    /// [`ServiceError::Overloaded`] and a retry-after hint. Both endpoints
+    /// are panic-isolated: a panicking estimator is caught, its
+    /// snapshot's cache quarantined, a fresh snapshot installed, and the
+    /// request still answered from the independence floor with
     /// [`DegradeReason::Panic`].
     ///
     /// An unlimited budget produces answers bit-identical to
@@ -557,33 +544,7 @@ impl EstimationService {
         let Some(_permit) = self.admission.try_acquire() else {
             return Err(self.shed());
         };
-        let snapshot = self.snapshot();
-        Ok(self.estimate_guarded(&snapshot, query, budget))
-    }
-
-    /// Budgeted sibling of [`EstimationService::estimate_batch`]: one
-    /// consistent snapshot for the whole batch, the `budget` applied to
-    /// **each query individually** (a relative deadline restarts per
-    /// query; a shared wall-clock cutoff is expressed with a
-    /// [`sqe_core::CancelToken`] the caller trips). The batch takes a
-    /// single admission permit — shed decisions are per call, not per
-    /// query — and every query is panic-isolated exactly like
-    /// [`EstimationService::estimate_with_budget`]. Answers come back in
-    /// input order, computed on the caller's thread.
-    pub fn estimate_batch_with_budget(
-        &self,
-        queries: &[SpjQuery],
-        budget: &Budget,
-    ) -> Result<Vec<Estimate>, ServiceError> {
-        let Some(_permit) = self.admission.try_acquire() else {
-            return Err(self.shed());
-        };
-        self.metrics.batch();
-        let snapshot = self.snapshot();
-        Ok(queries
-            .iter()
-            .map(|q| self.estimate_guarded(&snapshot, q, budget))
-            .collect())
+        Ok(self.answer(query, budget))
     }
 
     /// Reports a shed and builds the `Overloaded` error with its
@@ -604,102 +565,82 @@ impl EstimationService {
         }
     }
 
-    /// Runs one budgeted estimate with panic isolation: a panic anywhere
-    /// in the estimator is caught here, the snapshot recovered, and the
-    /// request answered from the independence floor.
-    fn estimate_guarded(
-        &self,
-        snapshot: &CatalogSnapshot,
-        query: &SpjQuery,
-        budget: &Budget,
-    ) -> Estimate {
+    /// The one estimate path, against the current snapshot. Probes the
+    /// whole-query cache, runs the [`Ladder`] on a miss, caches a `Full`
+    /// answer and computes the upper bound, all inside one
+    /// `catch_unwind`; then reports the finished [`Estimate`] once. The
+    /// cache holds exact `Full` answers only — the invariant a budgeted
+    /// hit relies on — so a query the ladder answers on a lower rung, or
+    /// routes to the beam, misses every time. A panic anywhere inside is
+    /// caught here, the snapshot recovered, and the request answered from
+    /// the independence floor.
+    fn answer(&self, query: &SpjQuery, budget: &Budget) -> Estimate {
+        let snapshot = self.snapshot();
         let start = Instant::now();
-        match catch_unwind(AssertUnwindSafe(|| {
-            self.estimate_in(snapshot, query, budget)
-        })) {
-            Ok(e) => e,
-            Err(_) => {
-                self.recover_after_panic(snapshot);
-                let selectivity = sqe_core::baseline::independence_selectivity(
-                    &snapshot.db,
-                    &snapshot.sits,
-                    query,
-                );
-                self.metrics.rung_attempted(Quality::Independence);
-                self.metrics
-                    .rung_answered(Quality::Independence, Some(DegradeReason::Panic));
-                let estimate = Estimate {
-                    selectivity,
-                    error: f64::INFINITY,
-                    cardinality: cardinality_of(snapshot, query, selectivity),
-                    epoch: snapshot.epoch,
-                    cached: false,
-                    quality: Quality::Independence,
-                    degraded_reason: Some(DegradeReason::Panic),
-                    // The panic may have come from the backend itself (the
-                    // chaos suite arms exactly that), so no backend code —
-                    // including the bound sketch — runs on this path.
-                    upper_bound: None,
-                };
-                self.observe(&estimate, start.elapsed());
-                estimate
-            }
-        }
-    }
-
-    /// The one estimate path. Probes the whole-query cache, runs the
-    /// [`Ladder`] on a miss, caches a `Full` answer, and reports the
-    /// finished [`Estimate`], upper bound included, once. The cache holds
-    /// exact `Full` answers only — the invariant a budgeted hit relies on
-    /// — so a query the ladder answers on a lower rung, or routes to the
-    /// beam, misses every time.
-    fn estimate_in(
-        &self,
-        snapshot: &CatalogSnapshot,
-        query: &SpjQuery,
-        budget: &Budget,
-    ) -> Estimate {
-        let start = Instant::now();
-        let key = CacheKey::query(self.config.mode, &query.predicates);
-        let (selectivity, error, quality, reason, cached) = match snapshot.cache.get_query(&key) {
-            // Only Full answers are ever inserted, so a hit *is* a Full
-            // answer regardless of this request's budget.
-            Some((s, e)) => (s, e, Quality::Full, None, true),
-            None => {
-                let mut ladder = Ladder::new(&snapshot.db, &snapshot.sits, self.config.mode)
-                    .with_metrics(&*self.metrics)
-                    .with_strategy(self.config.dp_strategy)
-                    .with_beam_config(self.config.beam)
-                    .with_backend(Arc::clone(&snapshot.backend))
-                    .with_shared_cache(&snapshot.cache)
-                    .with_rung_costs(&snapshot.rung_costs);
-                if let Some(sit2) = &snapshot.sit2 {
-                    ladder = ladder.with_sit2_catalog(sit2);
+        let estimate = catch_unwind(AssertUnwindSafe(|| {
+            let key = CacheKey::query(self.config.mode, &query.predicates);
+            let hit = snapshot.cache.get_query(&key);
+            let (selectivity, error, quality, reason, cached) = match hit {
+                // Only Full answers are ever inserted, so a hit *is* a
+                // Full answer regardless of this request's budget.
+                Some((s, e)) => (s, e, Quality::Full, None, true),
+                None => {
+                    let mut ladder = Ladder::new(&snapshot.db, &snapshot.sits, self.config.mode)
+                        .with_metrics(&*self.metrics)
+                        .with_strategy(self.config.dp_strategy)
+                        .with_beam_config(self.config.beam)
+                        .with_backend(Arc::clone(&snapshot.backend))
+                        .with_shared_cache(&snapshot.cache)
+                        .with_rung_costs(&snapshot.rung_costs);
+                    if let Some(sit2) = &snapshot.sit2 {
+                        ladder = ladder.with_sit2_catalog(sit2);
+                    }
+                    let b = ladder.estimate(query, budget);
+                    if b.quality == Quality::Full {
+                        let error = b.error.expect("full answers carry an error");
+                        snapshot.cache.put_query(key, (b.selectivity, error));
+                    }
+                    (
+                        b.selectivity,
+                        b.error.unwrap_or(f64::INFINITY),
+                        b.quality,
+                        b.degraded_reason,
+                        false,
+                    )
                 }
-                let b = ladder.estimate(query, budget);
-                if b.quality == Quality::Full {
-                    let error = b.error.expect("full answers carry an error");
-                    snapshot.cache.put_query(key, (b.selectivity, error));
-                }
-                (
-                    b.selectivity,
-                    b.error.unwrap_or(f64::INFINITY),
-                    b.quality,
-                    b.degraded_reason,
-                    false,
-                )
+            };
+            Estimate {
+                selectivity,
+                error,
+                cardinality: cardinality_of(&snapshot, query, selectivity),
+                epoch: snapshot.epoch,
+                cached,
+                quality,
+                degraded_reason: reason,
+                upper_bound: snapshot.bound.upper_bound(query),
             }
-        };
-        let estimate = Estimate {
-            selectivity,
-            error,
-            cardinality: cardinality_of(snapshot, query, selectivity),
-            epoch: snapshot.epoch,
-            cached,
-            quality,
-            degraded_reason: reason,
-            upper_bound: snapshot.bound.upper_bound(query),
-        };
+        }))
+        .unwrap_or_else(|_| {
+            self.recover_after_panic(&snapshot);
+            let selectivity =
+                sqe_core::baseline::independence_selectivity(&snapshot.db, &snapshot.sits, query);
+            self.metrics.rung_attempted(Quality::Independence);
+            self.metrics
+                .rung_answered(Quality::Independence, Some(DegradeReason::Panic));
+            Estimate {
+                selectivity,
+                error: f64::INFINITY,
+                cardinality: cardinality_of(&snapshot, query, selectivity),
+                epoch: snapshot.epoch,
+                cached: false,
+                quality: Quality::Independence,
+                degraded_reason: Some(DegradeReason::Panic),
+                // The panic may have come from the backend itself (the
+                // chaos suite arms exactly that), so no backend code —
+                // including the bound sketch — runs on this path.
+                upper_bound: None,
+            }
+        });
         self.observe(&estimate, start.elapsed());
         estimate
     }
@@ -934,18 +875,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_answers_from_one_epoch() {
-        let db = small_db();
-        let svc = service(&db);
-        let queries: Vec<_> = (1..=3).map(query).collect();
-        let estimates = svc.estimate_batch(&queries);
-        assert_eq!(estimates.len(), 3);
-        assert!(estimates.iter().all(|e| e.epoch == 0));
-        assert_eq!(svc.stats().batches, 1);
-        assert_eq!(svc.stats().estimates, 3);
-    }
-
-    #[test]
     fn cardinality_scales_selectivity_by_cross_product() {
         let db = small_db();
         let svc = service(&db);
@@ -1051,23 +980,5 @@ mod tests {
         assert!(svc
             .estimate_with_budget(&query(1), &Budget::unlimited())
             .is_ok());
-    }
-
-    #[test]
-    fn budgeted_batch_answers_every_query_from_one_epoch() {
-        let db = small_db();
-        let svc = service(&db);
-        let queries: Vec<_> = (1..=4).map(query).collect();
-        let estimates = svc
-            .estimate_batch_with_budget(&queries, &Budget::unlimited())
-            .expect("admitted");
-        assert_eq!(estimates.len(), 4);
-        assert!(estimates.iter().all(|e| e.epoch == 0));
-        assert!(estimates.iter().all(|e| e.quality == Quality::Full));
-        // Matches the unbudgeted batch bit-for-bit.
-        let plain = svc.estimate_batch(&queries);
-        for (b, p) in estimates.iter().zip(&plain) {
-            assert_eq!(b.selectivity.to_bits(), p.selectivity.to_bits());
-        }
     }
 }

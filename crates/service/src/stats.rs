@@ -60,7 +60,6 @@ pub struct ServiceStats {
     bound_width_sum_milli: AtomicU64,
     bound_width_max_milli: AtomicU64,
     max_epoch: AtomicU64,
-    batches: AtomicU64,
     installs: AtomicU64,
     partial_installs: AtomicU64,
     ingest_ops: AtomicU64,
@@ -116,10 +115,6 @@ impl MetricsSink for ServiceStats {
         self.max_epoch.fetch_max(epoch, RELAXED);
     }
 
-    fn batch(&self) {
-        self.batches.fetch_add(1, RELAXED);
-    }
-
     fn install(&self) {
         self.installs.fetch_add(1, RELAXED);
     }
@@ -150,7 +145,6 @@ impl ServiceStats {
         let quality_counts = load(&self.served);
         ServiceStatsSnapshot {
             estimates: quality_counts.iter().sum(),
-            batches: self.batches.load(RELAXED),
             query_cache_hits: self.cached.load(RELAXED),
             installs: self.installs.load(RELAXED),
             latency: self.latency.snapshot(),
@@ -206,8 +200,6 @@ pub struct ServiceStatsSnapshot {
     /// Estimates served, cache hits included (the sum of
     /// `quality_counts`).
     pub estimates: u64,
-    /// Batch calls served (`estimate_batch` and its budgeted sibling).
-    pub batches: u64,
     /// Estimates answered entirely from the whole-query cache.
     pub query_cache_hits: u64,
     /// Catalog snapshots installed after the initial one: full installs,
@@ -293,8 +285,8 @@ impl fmt::Display for ServiceStatsSnapshot {
         let (latency, ingest, cache) = (&self.latency, &self.ingest, &self.cache);
         writeln!(
             f,
-            "estimates: {} ({} query-cache hits), batches: {}, installs: {}",
-            self.estimates, self.query_cache_hits, self.batches, self.installs
+            "estimates: {} ({} query-cache hits), installs: {}",
+            self.estimates, self.query_cache_hits, self.installs
         )?;
         writeln!(
             f,
@@ -349,12 +341,8 @@ mod tests {
         s.rung_answered(Quality::Pruned, Some(DegradeReason::Deadline));
         s.estimate_served(10_000, Quality::Pruned, false);
         s.estimate_served(30_000, Quality::Full, true);
-        s.batch();
         let snap = s.snapshot(CacheCounters::default());
-        assert_eq!(
-            (snap.estimates, snap.query_cache_hits, snap.batches),
-            (2, 1, 1)
-        );
+        assert_eq!((snap.estimates, snap.query_cache_hits), (2, 1));
         assert_eq!(snap.mean_latency(), Duration::from_micros(20));
         assert_eq!(s.mean_latency_hint(), Duration::from_micros(20));
         assert_eq!(snap.quality_count(Quality::Pruned), 1);

@@ -56,11 +56,12 @@ fn main() {
     // Warm pass: recurring query shapes are answered from the whole-query
     // cache without constructing an estimator.
     let warm = Instant::now();
-    let estimates = service.estimate_batch(&workload);
+    let estimates: Vec<_> = workload.iter().map(|q| service.estimate(q)).collect();
     let warm = warm.elapsed();
     let hits = estimates.iter().filter(|e| e.cached).count();
+    assert_eq!(hits, estimates.len(), "the cold pass cached every query");
     println!(
-        "cold pass: {cold:?} for {} estimates; warm batch: {warm:?} ({hits}/{} cached)",
+        "cold pass: {cold:?} for {} estimates; warm pass: {warm:?} ({hits}/{} cached)",
         workload.len(),
         estimates.len(),
     );

@@ -1,5 +1,5 @@
 //! Chaos suite: randomized failpoints, deadlines, and cancellations under
-//! an 8-thread budgeted batch load.
+//! an 8-thread estimate load.
 //!
 //! Asserts the robustness contract of the resource-governance layer:
 //!
@@ -115,9 +115,9 @@ fn randomized_faults_never_hang_poison_or_mislabel() {
                     let idx = (rng.next() as usize) % queries.len();
                     let budget = random_budget(&mut rng);
                     let outcome = if round % 10 == 9 {
-                        // Periodic batch call to chaos the batch path too.
-                        svc.estimate_batch_with_budget(&queries[idx..=idx], &budget)
-                            .map(|v| v[0])
+                        // Periodic unbudgeted call: panic-isolated like
+                        // the budgeted one, so it is chaosed too.
+                        Ok(svc.estimate(&queries[idx]))
                     } else {
                         svc.estimate_with_budget(&queries[idx], &budget)
                     };

@@ -93,21 +93,6 @@ fn eight_threads_match_single_threaded_bit_for_bit_cold_and_warm() {
     }
 }
 
-/// Batches against a warm cache agree with per-query estimates and with the
-/// single-threaded reference.
-#[test]
-fn warm_batches_are_bit_identical_too() {
-    let (db, wl, svc) = service_setup(ErrorMode::Diff);
-    let expected = reference(&db, &wl, svc.snapshot().sits(), ErrorMode::Diff);
-    let cold: Vec<_> = svc.estimate_batch(&wl);
-    let warm: Vec<_> = svc.estimate_batch(&wl);
-    for ((c, w), e) in cold.iter().zip(&warm).zip(&expected) {
-        assert_eq!(c.selectivity.to_bits(), *e);
-        assert_eq!(w.selectivity.to_bits(), *e);
-        assert!(w.cached);
-    }
-}
-
 /// The parallel pool build feeding the service is itself bit-identical to a
 /// sequential build, so a service rebuilt on N threads answers exactly like
 /// one built on 1 thread.
@@ -191,51 +176,41 @@ fn armed_failpoints_stay_on_their_thread_and_reach_its_server() {
     assert_eq!(server.stats().respond_failures.load(Relaxed), 1);
 }
 
-/// The value fields of an [`sqe::service::Estimate`] as raw bits — every
-/// deterministic field, i.e. all but the scheduling-dependent `cached` flag.
-fn estimate_bits(e: &sqe::service::Estimate) -> (u64, u64, u64, u64) {
-    (
-        e.selectivity.to_bits(),
-        e.error.to_bits(),
-        e.cardinality.to_bits(),
-        e.epoch,
-    )
-}
-
-/// A catalog `install` landing mid-batch must not tear a batch: the batch
-/// pinned its snapshot up front, so every estimate reports one epoch and
-/// the same bits as a quiet-service batch. The installer is
-/// un-synchronized (whichever side wins, the invariants hold — both
-/// epochs carry the identical catalog here, so bit-identity to the
-/// reference is checkable in every interleaving).
+/// An unbudgeted estimate is panic-isolated like a budgeted one. With
+/// `dp::solve_mask` armed to panic on this thread, `estimate` answers
+/// from the independence floor, labelled with the panic and without an
+/// upper bound, and quarantines the snapshot it ran against; once
+/// disarmed, the replacement snapshot answers `Full`, bit-identical to a
+/// fresh estimator.
 #[test]
-fn install_landing_mid_batch_never_tears_a_batch() {
-    let (db, wl, _) = service_setup(ErrorMode::Diff);
-    let pool = || build_pool(&db, &wl, PoolSpec::ji(2)).unwrap();
-    let fresh = || EstimationService::new(Arc::clone(&db), pool(), ServiceConfig::default());
-    let expected: Vec<_> = fresh()
-        .estimate_batch(&wl)
-        .iter()
-        .map(estimate_bits)
-        .collect();
-    let svc = fresh();
-    let batch = std::thread::scope(|s| {
-        let batch = s.spawn(|| svc.estimate_batch(&wl));
-        s.spawn(|| svc.install(pool(), None));
-        batch.join().expect("batch thread")
-    });
-    let epoch = batch[0].epoch;
-    for (got, want) in batch.iter().zip(&expected) {
-        assert_eq!(got.epoch, epoch, "one snapshot answers the whole batch");
-        assert_eq!(
-            (
-                got.selectivity.to_bits(),
-                got.error.to_bits(),
-                got.cardinality.to_bits()
-            ),
-            (want.0, want.1, want.2)
-        );
-    }
+fn a_panicking_unbudgeted_estimate_is_answered_from_the_floor_and_quarantines() {
+    use sqe::core::failpoint::{self, Action};
+
+    let (db, wl, svc) = service_setup(ErrorMode::Diff);
+    let q = &wl[0];
+    failpoint::quiet_injected_panics();
+    failpoint::arm("dp::solve_mask", Action::Panic);
+    let e = svc.estimate(q);
+    failpoint::disarm("dp::solve_mask");
+
+    assert_eq!(e.quality, Quality::Independence);
+    assert_eq!(e.degraded_reason, Some(DegradeReason::Panic));
+    assert_eq!(e.upper_bound, None);
+    assert_eq!(e.epoch, 0, "answered against the snapshot that panicked");
+    assert_eq!(svc.stats().quarantines, 1);
+    assert_eq!(svc.snapshot().epoch(), 1, "a replacement snapshot");
+
+    let want = reference(
+        &db,
+        std::slice::from_ref(q),
+        svc.snapshot().sits(),
+        ErrorMode::Diff,
+    );
+    let e = svc.estimate(q);
+    assert_eq!(e.quality, Quality::Full, "{:?}", e.degraded_reason);
+    assert_eq!(e.degraded_reason, None);
+    assert_eq!(e.selectivity.to_bits(), want[0]);
+    assert_eq!(e.epoch, 1);
 }
 
 /// Concurrent estimates racing `partial_install` must never observe a
@@ -389,15 +364,39 @@ fn gen_workload() -> impl Strategy<Value = Vec<SpjQuery>> {
     prop::collection::vec(query, 2..8)
 }
 
+/// Every deterministic field of an [`sqe::service::Estimate`] — all but
+/// the request-order-dependent `cached` flag — with floats as raw bits.
+type EstimateBits = (
+    u64,
+    u64,
+    u64,
+    u64,
+    Quality,
+    Option<DegradeReason>,
+    Option<u64>,
+);
+
+fn estimate_bits(e: &sqe::service::Estimate) -> EstimateBits {
+    (
+        e.selectivity.to_bits(),
+        e.error.to_bits(),
+        e.cardinality.to_bits(),
+        e.epoch,
+        e.quality,
+        e.degraded_reason,
+        e.upper_bound.map(f64::to_bits),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `estimate_batch` answers in input order, every deterministic
-    /// `Estimate` field bit-identical to one `estimate` per query on a
-    /// fresh service, over a cold and then a warm cache (`cached` is not
-    /// compared: it follows request order).
+    /// `estimate` and `estimate_with_budget` under an unlimited budget
+    /// take one path: on two fresh services over the same catalog, every
+    /// deterministic `Estimate` field agrees bit for bit, query by query,
+    /// over a cold and then a warm cache.
     #[test]
-    fn batches_are_bit_identical_and_order_stable(
+    fn unbudgeted_and_unlimited_budget_answers_are_bit_identical(
         db in gen_db(),
         wl in gen_workload(),
         pool_i in 0usize..3,
@@ -409,12 +408,16 @@ proptest! {
             mode: mode_of(mode_i),
             ..ServiceConfig::default()
         };
-        let single = EstimationService::new(Arc::clone(&db), pool(), config);
-        let expected: Vec<_> = wl.iter().map(|q| estimate_bits(&single.estimate(q))).collect();
-        let svc = EstimationService::new(Arc::clone(&db), pool(), config);
+        let plain = EstimationService::new(Arc::clone(&db), pool(), config);
+        let budgeted = EstimationService::new(Arc::clone(&db), pool(), config);
         for round in ["cold", "warm"] {
-            let got: Vec<_> = svc.estimate_batch(&wl).iter().map(estimate_bits).collect();
-            prop_assert_eq!(&got, &expected, "{}", round);
+            for (j, q) in wl.iter().enumerate() {
+                let want = estimate_bits(&plain.estimate(q));
+                let got = budgeted
+                    .estimate_with_budget(q, &Budget::unlimited())
+                    .expect("admitted");
+                prop_assert_eq!(estimate_bits(&got), want, "{} query {}", round, j);
+            }
         }
     }
 }
